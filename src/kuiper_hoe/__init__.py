@@ -9,7 +9,6 @@ from .series import (
     DEFAULT_SERIES,
     Probability,
     SeriesConfig,
-    Statistic,
     b_series,
     cdf_kn,
     cdf_vn,
@@ -18,25 +17,18 @@ from .series import (
     utp,
 )
 from .solver import (
-    DEFAULT_SOLVER,
-    BisectionBracket,
     BracketWarning,
     ConvergenceError,
     DegenerateDerivativeError,
     FixedPointDomainError,
     KuiperPair,
-    SolverConfig,
-    distance,
     f_ctm,
     f_nlm,
-    fixed_point_solve,
     get_init_value,
     kuiper_inv_cdf,
     kuiper_ltq,
     kuiper_pair_solver,
     kuiper_utq,
-    update_direct,
-    update_newton,
 )
 from .gof import (
     EdfScheme,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .series import Probability, _check_capacity
-from .solver import distance, fixed_point_solve, get_init_value, update_newton
+from .solver import _iterate, _newton_step, get_init_value
 
 __all__ = [
     "ModifiedStatistic",
@@ -44,12 +44,18 @@ def stephens_utp(v: float, n: int) -> Probability:
     raw factorials overflow for large n.
     """
     _check_capacity(n)
-    floor = 0.5 if n % 2 == 0 else 0.5 - 0.5 / n
+    floor = 0.5 if n % 2 == 0 else (n - 1) / (2 * n)
     if v < floor:
         raise ValueError(f"stephens_utp requires v >= {floor} for n={n}, got {v}")
     t_max = math.floor(n * (1.0 - v))
     if t_max < 0:
         return Probability(0.0)
+    if n == 1:
+        return Probability(1.0)  # V_1 = 1 exactly
+    # The t = n - 1 term (power 0) enters only at v <= 1/n, which the floors
+    # admit at n = 2 (where it is zero) and at n = 3, v = 1/3.  Pr{V_n = 1/n}
+    # is 0, and the other terms already sum to Pr{V_n >= 1/n} = 1.
+    t_max = min(t_max, n - 2)
     g = 3.0 - 2.0 / n
     total = 0.0
     for t in range(t_max + 1):
@@ -59,11 +65,8 @@ def stephens_utp(v: float, n: int) -> Probability:
                             - t * (t - 1) * (t - 2) / (n * n))
         log_binom = (math.lgamma(n + 1) - math.lgamma(t + 1)
                      - math.lgamma(n - t + 1))
-        power = n - t - 1
         if base > 0.0:
-            total += math.exp(log_binom + power * math.log(base)) * w
-        elif power == 0:  # 0^0 = 1 on the lattice boundary
-            total += math.exp(log_binom) * w
+            total += math.exp(log_binom + (n - t - 1) * math.log(base)) * w
     return Probability(total)
 
 
@@ -121,8 +124,8 @@ def modified_quantile(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     c0 = get_init_value(_modified_residual, 0.6, 3.0, 0.05, alpha)
-    return fixed_point_solve(update_newton, _modified_residual, distance,
-                             1e-9, c0, alpha, max_iter=200)
+    return _iterate(lambda c: _newton_step(_modified_residual, c, alpha),
+                    c0, 1e-9)[0]
 
 
 def ks_utp_asymptotic(d: float, n: int) -> Probability:

@@ -21,8 +21,8 @@ import numpy as np
 from .gof import EdfScheme, SampleSet, kuiper_test
 from .montecarlo import SimConfig, normal_cdf, simulate_type1
 from .series import cdf_vn, utp
-from .solver import (ConvergenceError, SolverConfig, kuiper_inv_cdf,
-                     kuiper_ltq, kuiper_pair_solver, kuiper_utq)
+from .solver import (ConvergenceError, kuiper_inv_cdf, kuiper_ltq,
+                     kuiper_pair_solver, kuiper_utq)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -167,13 +167,8 @@ def read_sample_file(path: str, csv_column: str | None = None) -> list:
     return values
 
 
-def _solver_config(args) -> SolverConfig:
-    method = getattr(args, "method", "newton")
-    return SolverConfig(method=method)
-
-
 def cmd_pair(args) -> int:
-    pair = kuiper_pair_solver(args.alpha, args.n, args.k, _solver_config(args))
+    pair = kuiper_pair_solver(args.alpha, args.n, args.k, args.method)
     if args.format == "table":
         p = args.precision
         print(f"({pair.c:.{p}f}, {pair.v:.{p}f})")
@@ -244,12 +239,11 @@ def cmd_test(args) -> int:
 def cmd_table(args) -> int:
     n_list = _parse_int_list(args.n, "--n")
     k_list = _parse_int_list(args.k, "--k")
-    cfg = _solver_config(args)
     cells = {}
     for n in n_list:
         for k in k_list:
             try:
-                pair = kuiper_pair_solver(args.alpha, n, k, cfg)
+                pair = kuiper_pair_solver(args.alpha, n, k, args.method)
                 cells[n, k] = (pair.c, pair.v)
             except (ValueError, ConvergenceError):
                 cells[n, k] = None

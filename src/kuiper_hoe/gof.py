@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import Probability, SeriesConfig, DEFAULT_SERIES, utp
-from .solver import SolverConfig, DEFAULT_SOLVER, kuiper_utq
+from .solver import kuiper_utq
 
 __all__ = [
     "EdfScheme",
@@ -149,7 +149,6 @@ def compute_vn(sample: SampleSet, hypothesized_cdf,
 
 def kuiper_test(sample: SampleSet, hypothesized_cdf, alpha: float = 0.05,
                 k: int = 5, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED,
-                cfg: SolverConfig = DEFAULT_SOLVER,
                 series_cfg: SeriesConfig = DEFAULT_SERIES) -> TestResult:
     """Run the Kuiper goodness-of-fit test at level alpha and order k.
 
@@ -160,7 +159,7 @@ def kuiper_test(sample: SampleSet, hypothesized_cdf, alpha: float = 0.05,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     d_plus, d_minus, v_n = compute_vn(sample, hypothesized_cdf, scheme)
-    v_critical = kuiper_utq(alpha, sample.n, k, cfg)
+    v_critical = kuiper_utq(alpha, sample.n, k)
     if v_n > 0.0:
         p_value = utp(v_n * math.sqrt(sample.n), sample.n, k, series_cfg)
     else:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 __all__ = [
     "SeriesConfig",
     "Probability",
-    "Statistic",
     "DEFAULT_SERIES",
     "b_series",
     "fun_a0",
@@ -88,31 +87,6 @@ def _check_order(k: int) -> None:
 def _check_capacity(n: int) -> None:
     if n < 1:
         raise ValueError(f"sample capacity n must be >= 1, got {n}")
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """A Kuiper statistic in raw (v) and scaled (c = v*sqrt(n)) form."""
-
-    n: int
-    v: float
-    c: float
-
-    def __post_init__(self) -> None:
-        _check_capacity(self.n)
-        if not math.isclose(self.c, self.v * math.sqrt(self.n),
-                            rel_tol=1e-12, abs_tol=1e-15):
-            raise ValueError(
-                f"inconsistent statistic: c={self.c!r} but v*sqrt(n)="
-                f"{self.v * math.sqrt(self.n)!r}")
-
-    @classmethod
-    def from_v(cls, v: float, n: int) -> "Statistic":
-        return cls(n=n, v=v, c=v * math.sqrt(n))
-
-    @classmethod
-    def from_c(cls, c: float, n: int) -> "Statistic":
-        return cls(n=n, v=c / math.sqrt(n), c=c)
 
 
 # Standalone constants of B_i (the value each series tends to as c grows).

@@ -1,4 +1,4 @@
-"""Fixed-point machinery for Kuiper critical values and tail quantiles.
+"""Kuiper critical values and tail quantiles by fixed-point iteration.
 
 The order-k upper tail equation is solved in its two-exponential form
 either by direct contraction iteration on ``f_ctm`` or by Newton steps on
@@ -11,23 +11,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .series import _check_capacity, _check_order, fun_a0, fun_aj
 
 __all__ = [
-    "BisectionBracket",
-    "SolverConfig",
     "KuiperPair",
-    "DEFAULT_SOLVER",
     "ConvergenceError",
     "DegenerateDerivativeError",
     "FixedPointDomainError",
     "BracketWarning",
-    "distance",
-    "update_direct",
-    "update_newton",
-    "fixed_point_solve",
     "get_init_value",
     "f_nlm",
     "f_ctm",
@@ -36,6 +29,12 @@ __all__ = [
     "kuiper_ltq",
     "kuiper_inv_cdf",
 ]
+
+EPSILON = 1e-5          # convergence tolerance on successive iterates
+H = 1e-5                # forward-difference step of the Newton slope
+C_GUESS = 1.8           # start value of the first try
+MAX_ITER = 200          # update cap per try
+BRACKET = (0.6, 3.0, 0.05)  # bisection interval and resolution of the retry
 
 
 class ConvergenceError(RuntimeError):
@@ -53,60 +52,23 @@ class DegenerateDerivativeError(RuntimeError):
 
 
 class FixedPointDomainError(ValueError):
-    """A log or sqrt argument left its domain during iteration.
+    """A log or sqrt argument left its domain.
 
     ``argument`` names the failing expression: "alpha_gap" for
-    alpha - 1 - A_0 (alpha incompatible with n at this order), and
-    "tail_coefficient" or "radicand" for iterates outside the
-    contraction basin.
+    alpha - 1 - A_0 (alpha incompatible with n at this order), and "c",
+    "tail_coefficient" or "radicand" for iterates outside the contraction
+    basin.  ``steps`` counts the update attempts of the iteration that hit
+    the error, the failing one included (0 outside an iteration).
     """
 
     def __init__(self, message: str, argument: str) -> None:
         super().__init__(message)
         self.argument = argument
+        self.steps = 0
 
 
 class BracketWarning(UserWarning):
     """get_init_value saw no sign change over the supplied interval."""
-
-
-@dataclass(frozen=True)
-class BisectionBracket:
-    """Search interval and resolution for the bisection initializer."""
-
-    a: float = 0.6
-    b: float = 3.0
-    h: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"bracket must satisfy a < b, got [{self.a}, {self.b}]")
-        if self.h <= 0.0:
-            raise ValueError(f"bracket resolution h must be positive, got {self.h}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    method: str = "newton"
-    epsilon: float = 1e-5
-    h: float = 1e-5
-    c_guess: float = 1.8
-    max_iter: int = 200
-    use_bisection_init: bool = False
-    bisection: BisectionBracket = field(default_factory=BisectionBracket)
-
-    def __post_init__(self) -> None:
-        if self.method not in ("direct", "newton"):
-            raise ValueError(f"method must be 'direct' or 'newton', got {self.method!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.h <= 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_SOLVER = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -124,18 +86,23 @@ class KuiperPair:
     residual: float
 
 
-def distance(x: float, y: float) -> float:
-    """Absolute difference, the scalar iteration metric."""
-    return abs(x - y)
+def _alpha_gap(alpha: float, n: int, k: int) -> float:
+    """alpha - 1 - A_0, the positive constant part of the tail equation."""
+    a0 = fun_a0(n, k)
+    gap = alpha - 1.0 - a0
+    if gap <= 0.0:
+        raise FixedPointDomainError(
+            f"order k={k} cannot reach alpha below {1.0 + a0:.6g} at n={n} "
+            f"(got alpha={alpha})", argument="alpha_gap")
+    return gap
 
 
 def _log_arguments(c: float, alpha: float, n: int, k: int) -> tuple[float, float]:
     """The two positive quantities whose logs enter the tail equation."""
-    gap = alpha - 1.0 - fun_a0(n, k)
-    if gap <= 0.0:
+    gap = _alpha_gap(alpha, n, k)
+    if c <= 0.0:
         raise FixedPointDomainError(
-            f"alpha - 1 - A0 = {gap:.4g} <= 0: alpha={alpha} is not reachable "
-            f"for n={n} at order k={k}", argument="alpha_gap")
+            f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
     tail = fun_aj(1, c, n, k) + fun_aj(2, c, n, k) * math.exp(-6.0 * c * c)
     if tail <= 0.0:
         raise FixedPointDomainError(
@@ -160,52 +127,39 @@ def f_ctm(c: float, alpha: float, n: int, k: int) -> float:
     return math.sqrt(radicand)
 
 
-def update_direct(f, c: float, *params) -> float:
-    """Direct update: the next iterate is f itself."""
-    return f(c, *params)
-
-
-def update_newton(f, c: float, *params, h: float = 1e-5) -> float:
-    """One Newton step with a forward-difference slope of step h."""
+def _newton_step(f, c: float, *params) -> float:
+    """One Newton step on f with a forward-difference slope of step H."""
     f0 = f(c, *params)
-    slope = (f(c + h, *params) - f0) / h
+    slope = (f(c + H, *params) - f0) / H
     if abs(slope) < 1e-14:
         raise DegenerateDerivativeError(
             f"forward-difference slope {slope:.4g} at c={c:.6g} is too small")
     return c - f0 / slope
 
 
-def fixed_point_solve(updater, f, dist, epsilon: float, x_guess: float,
-                      *params, max_iter: int = 200) -> float:
-    """Iterate x <- updater(f, x, *params) until dist(new, old) < epsilon.
+def _iterate(step, x0: float, epsilon: float) -> tuple[float, int]:
+    """Iterate x <- step(x) from x0 until successive iterates differ by
+    less than epsilon; return the last iterate and the number of steps.
 
-    Args:
-        updater: second-order function computing the next iterate.
-        f: the function object handed through to the updater.
-        dist: metric on successive iterates.
-        epsilon: convergence tolerance on the iterate distance.
-        x_guess: starting point.
-        *params: extra arguments forwarded to the updater.
-        max_iter: update cap.
-
-    Returns:
-        The last improved iterate.
-
-    Raises:
-        ConvergenceError: cap reached; carries the last iterate and distance.
+    Raises ConvergenceError after MAX_ITER steps.  A FixedPointDomainError
+    from a step leaves the steps attempted so far on its ``steps``.
     """
-    x_improve = updater(f, x_guess, *params)
-    iterations = 1
-    while dist(x_improve, x_guess) >= epsilon:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"no convergence after {iterations} updates: last iterate "
-                f"{x_improve:.8g}, last distance {dist(x_improve, x_guess):.4g}",
-                last_x=x_improve, last_distance=dist(x_improve, x_guess))
-        x_guess = x_improve
-        x_improve = updater(f, x_guess, *params)
-        iterations += 1
-    return x_improve
+    steps = 1
+    try:
+        x = step(x0)
+        while abs(x - x0) >= epsilon:
+            if steps >= MAX_ITER:
+                raise ConvergenceError(
+                    f"no convergence after {steps} updates: last iterate "
+                    f"{x:.8g}, last distance {abs(x - x0):.4g}",
+                    last_x=x, last_distance=abs(x - x0))
+            x0 = x
+            steps += 1
+            x = step(x0)
+    except FixedPointDomainError as exc:
+        exc.steps = steps
+        raise
+    return x, steps
 
 
 def get_init_value(f, a: float, b: float, h: float, *params) -> float:
@@ -235,56 +189,43 @@ def get_init_value(f, a: float, b: float, h: float, *params) -> float:
     return x_guess
 
 
-def _initial_value(cfg: SolverConfig, alpha: float, n: int, k: int) -> float:
-    br = cfg.bisection
-    return get_init_value(f_nlm, br.a, br.b, br.h, alpha, n, k)
-
-
 def kuiper_pair_solver(alpha: float, n: int, k: int,
-                       cfg: SolverConfig = DEFAULT_SOLVER) -> KuiperPair:
+                       method: str = "newton") -> KuiperPair:
     """Solve the Kuiper pair (c, v) at level alpha, capacity n, order k.
 
-    Dispatches to the direct contraction or the Newton iteration per
-    cfg.method.  A domain error during iteration from the plain initial
-    guess triggers one retry from the bisection initializer.
+    ``method`` is "newton" (Newton steps on f_nlm) or "direct" (contraction
+    iteration on f_ctm).  An alpha below the order-k floor 1 + A_0 raises
+    FixedPointDomainError before any iteration.  A domain error while
+    iterating from C_GUESS triggers one retry from the bisection
+    initializer on BRACKET; ``iterations`` counts the updates of both tries.
     """
+    if method not in ("direct", "newton"):
+        raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     _check_capacity(n)
     _check_order(k)
+    _alpha_gap(alpha, n, k)
 
-    if cfg.method == "direct":
-        base_updater, func = update_direct, f_ctm
+    if method == "direct":
+        def step(c):
+            return f_ctm(c, alpha, n, k)
     else:
-        def base_updater(f, c, *params):
-            return update_newton(f, c, *params, h=cfg.h)
-        func = f_nlm
+        def step(c):
+            return _newton_step(f_nlm, c, alpha, n, k)
 
-    count = 0
-
-    def counted(f, c, *params):
-        nonlocal count
-        count += 1
-        return base_updater(f, c, *params)
-
-    x0 = (_initial_value(cfg, alpha, n, k) if cfg.use_bisection_init
-          else cfg.c_guess)
     try:
-        c = fixed_point_solve(counted, func, distance, cfg.epsilon, x0,
-                              alpha, n, k, max_iter=cfg.max_iter)
-    except FixedPointDomainError:
-        if cfg.use_bisection_init:
-            raise
-        x0 = _initial_value(cfg, alpha, n, k)
-        c = fixed_point_solve(counted, func, distance, cfg.epsilon, x0,
-                              alpha, n, k, max_iter=cfg.max_iter)
+        c, iterations = _iterate(step, C_GUESS, EPSILON)
+    except FixedPointDomainError as exc:
+        x0 = get_init_value(f_nlm, *BRACKET, alpha, n, k)
+        c, steps = _iterate(step, x0, EPSILON)
+        iterations = exc.steps + steps
 
     return KuiperPair(c=c, v=c / math.sqrt(n), alpha=alpha, n=n, k=k,
-                      iterations=count, residual=f_nlm(c, alpha, n, k))
+                      iterations=iterations, residual=f_nlm(c, alpha, n, k))
 
 
-def kuiper_utq(alpha: float, n: int, k: int,
-               cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def kuiper_utq(alpha: float, n: int, k: int) -> float:
     """Upper tail quantile of V_n; returns 0.0 outright for alpha >= 0.9999.
 
     Always solved with the Newton iteration.
@@ -293,23 +234,19 @@ def kuiper_utq(alpha: float, n: int, k: int,
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if alpha >= 0.9999:
         return 0.0
-    if cfg.method != "newton":
-        cfg = replace(cfg, method="newton")
-    return kuiper_pair_solver(alpha, n, k, cfg).v
+    return kuiper_pair_solver(alpha, n, k).v
 
 
-def kuiper_ltq(alpha: float, n: int, k: int,
-               cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def kuiper_ltq(alpha: float, n: int, k: int) -> float:
     """Lower tail quantile of V_n: 0.0 for alpha <= 0.0001, else the upper
     tail quantile at 1 - alpha (identical code path, hence exact duality)."""
     if alpha <= 0.0001:
         return 0.0
-    return kuiper_utq(1.0 - alpha, n, k, cfg)
+    return kuiper_utq(1.0 - alpha, n, k)
 
 
-def kuiper_inv_cdf(x: float, n: int, k: int,
-                   cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def kuiper_inv_cdf(x: float, n: int, k: int) -> float:
     """Inverse CDF of V_n at probability x, via the upper tail at 1 - x."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"probability x must be in [0, 1], got {x}")
-    return kuiper_utq(1.0 - x, n, k, cfg)
+    return kuiper_utq(1.0 - x, n, k)

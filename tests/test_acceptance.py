@@ -15,7 +15,7 @@ from kuiper_hoe.baselines import modified_quantile, stephens_cdf_small_v, stephe
 from kuiper_hoe.gof import EdfScheme, SampleSet, compute_vn
 from kuiper_hoe.montecarlo import SimConfig, normal_cdf, simulate_type1
 from kuiper_hoe.series import b_series, cdf_kn, cdf_vn
-from kuiper_hoe.solver import (SolverConfig, f_nlm, kuiper_inv_cdf, kuiper_ltq,
+from kuiper_hoe.solver import (f_nlm, kuiper_inv_cdf, kuiper_ltq,
                                kuiper_pair_solver, kuiper_utq)
 
 from conftest import empirical_cdf, empirical_tail
@@ -73,11 +73,10 @@ def test_criterion_2_guards():
 
 def test_criterion_3_solver_cross_validation():
     failures = []
-    direct_cfg = SolverConfig(method="direct")
     for n, pairs in PAIR_TABLES[0.05].items():
         for k in range(1, 6):
             newton = kuiper_pair_solver(0.05, n, k)
-            direct = kuiper_pair_solver(0.05, n, k, direct_cfg)
+            direct = kuiper_pair_solver(0.05, n, k, method="direct")
             if abs(newton.c - direct.c) > 1e-4 or abs(newton.v - direct.v) > 1e-4:
                 failures.append(f"methods disagree at n={n} k={k}")
             for pair in (newton, direct):

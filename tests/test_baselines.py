@@ -63,6 +63,12 @@ class TestStephensUtp:
         mc_tail = empirical_tail(vn_mc(9), v)
         assert float(stephens_utp(v, 9)) == pytest.approx(mc_tail, abs=0.01)
 
+    def test_certain_at_the_smallest_floors(self):
+        # V_n >= 1/n always, so the tail is 1 at n = 3, v = 1/3 (the odd
+        # floor, also as 1/2 - 1/(2n) rounds it), n = 2, v = 1/2 and n = 1
+        for v, n in ((0.5 - 0.5 / 3, 3), (1.0 / 3.0, 3), (0.5, 2), (1.0, 1)):
+            assert stephens_utp(v, n).raw == pytest.approx(1.0, abs=1e-12)
+
     def test_agrees_with_series_tail_at_larger_n(self):
         for n in (20, 50):
             for v in np.arange(0.5, 0.62, 0.02):

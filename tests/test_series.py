@@ -10,7 +10,6 @@ from kuiper_hoe.series import (
     DEFAULT_SERIES,
     Probability,
     SeriesConfig,
-    Statistic,
     b_series,
     cdf_kn,
     cdf_vn,
@@ -277,18 +276,6 @@ class TestUtp:
         p = utp(1.5, 10, 5)
         assert isinstance(p, Probability)
         assert 0.0 <= float(p) <= 1.0
-
-
-class TestStatistic:
-    def test_constructors_agree(self):
-        s = Statistic.from_v(0.5, 16)
-        assert s.c == pytest.approx(2.0, rel=1e-15)
-        t = Statistic.from_c(2.0, 16)
-        assert t.v == pytest.approx(0.5, rel=1e-15)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            Statistic(n=16, v=0.5, c=1.9)
 
 
 class TestSeriesAccuracy:

@@ -1,4 +1,4 @@
-"""Tests for the fixed-point framework and the Kuiper pair solvers."""
+"""Tests for the solver loop and the Kuiper pair solvers."""
 
 import math
 
@@ -10,56 +10,59 @@ from kuiper_hoe.solver import (
     ConvergenceError,
     DegenerateDerivativeError,
     FixedPointDomainError,
-    SolverConfig,
-    distance,
+    _iterate,
+    _newton_step,
     f_ctm,
     f_nlm,
-    fixed_point_solve,
     get_init_value,
     kuiper_inv_cdf,
     kuiper_ltq,
     kuiper_pair_solver,
     kuiper_utq,
-    update_direct,
-    update_newton,
 )
-from kuiper_hoe.series import cdf_vn, utp
+from kuiper_hoe import solver
+from kuiper_hoe.series import cdf_vn, fun_a0, utp
 
 from table_data import PAIR_TABLES
-
-DIRECT = SolverConfig(method="direct")
 
 
 class TestFrameworkOnClassics:
     def test_cosine_fixed_point(self):
-        got = fixed_point_solve(update_direct, lambda x: math.cos(x), distance,
-                                1e-8, 1.0, max_iter=200)
+        got, steps = _iterate(math.cos, 1.0, 1e-8)
         assert got == pytest.approx(0.7390851332151607, abs=1e-6)
+        assert 1 < steps < 200
 
     def test_identity_updater_returns_guess(self):
-        got = fixed_point_solve(lambda f, x: x, None, distance, 1e-5, 1.234)
-        assert got == 1.234
+        assert _iterate(lambda x: x, 1.234, 1e-5) == (1.234, 1)
 
     def test_newton_sqrt2(self):
-        got = fixed_point_solve(update_newton, lambda x: x * x - 2.0, distance,
-                                1e-10, 1.5)
+        got, _ = _iterate(lambda x: _newton_step(lambda y: y * y - 2.0, x),
+                          1.5, 1e-10)
         assert got == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
     def test_newton_exact_on_affine(self):
-        got = update_newton(lambda x: 2.0 * x - 3.0, 10.0)
+        got = _newton_step(lambda x: 2.0 * x - 3.0, 10.0)
         assert got == pytest.approx(1.5, abs=1e-4)
 
     def test_degenerate_slope(self):
         with pytest.raises(DegenerateDerivativeError):
-            update_newton(lambda x: 1.0, 0.5)
+            _newton_step(lambda x: 1.0, 0.5)
 
     def test_nonconvergence_reports_state(self):
         # x -> 1 - x oscillates with period two and never contracts
         with pytest.raises(ConvergenceError) as err:
-            fixed_point_solve(update_direct, lambda x: 1.0 - x, distance,
-                              1e-8, 0.2, max_iter=50)
+            _iterate(lambda x: 1.0 - x, 0.2, 1e-8)
         assert err.value.last_x is not None
         assert err.value.last_distance == pytest.approx(0.6, abs=1e-12)
+
+    def test_domain_error_reports_steps(self):
+        def step(x):
+            if x > 3.0:
+                raise FixedPointDomainError("left the domain", argument="c")
+            return 2.0 * x
+        with pytest.raises(FixedPointDomainError) as err:
+            _iterate(step, 1.0, 1e-5)
+        assert err.value.steps == 3  # 1 -> 2 -> 4, then the failing step
 
 
 class TestBisectionInit:
@@ -108,13 +111,13 @@ class TestResidualFunctions:
 
     def test_newton_step_halves_residual(self):
         before = abs(f_nlm(1.8, 0.05, 10, 5))
-        c1 = update_newton(f_nlm, 1.8, 0.05, 10, 5)
+        c1 = _newton_step(f_nlm, 1.8, 0.05, 10, 5)
         assert abs(f_nlm(c1, 0.05, 10, 5)) <= 0.5 * before
 
     def test_newton_iteration_reaches_table_entry(self):
         c = 1.8
         for _ in range(50):
-            c = update_newton(f_nlm, c, 0.05, 10, 5)
+            c = _newton_step(f_nlm, c, 0.05, 10, 5)
         assert c == pytest.approx(1.6630, abs=1e-4)
         assert c / math.sqrt(10) == pytest.approx(0.5259, abs=1e-4)
 
@@ -146,16 +149,16 @@ class TestPairSolver:
         for n, pairs in PAIR_TABLES[0.05].items():
             for k in range(1, 6):
                 newton = kuiper_pair_solver(0.05, n, k)
-                direct = kuiper_pair_solver(0.05, n, k, DIRECT)
+                direct = kuiper_pair_solver(0.05, n, k, method="direct")
                 assert newton.c == pytest.approx(direct.c, abs=1e-4)
                 assert newton.v == pytest.approx(direct.v, abs=1e-4)
 
     def test_residual_contract(self):
-        for cfg in (SolverConfig(), DIRECT):
+        for method in ("newton", "direct"):
             for alpha in (0.01, 0.05, 0.20, 0.40):
                 for n in (6, 10, 50, 1000):
-                    pair = kuiper_pair_solver(alpha, n, 5, cfg)
-                    assert abs(pair.residual) <= 10.0 * cfg.epsilon
+                    pair = kuiper_pair_solver(alpha, n, 5, method)
+                    assert abs(pair.residual) <= 10.0 * solver.EPSILON
                     assert pair.v == pair.c / math.sqrt(n)
                     assert pair.iterations >= 1
 
@@ -166,16 +169,23 @@ class TestPairSolver:
                 alpha, abs=1e-6)
 
     def test_bisection_recovery_from_bad_guess(self):
-        # c=3.5 is outside the basin at n=6, k=1; the solver retries from
-        # the bisection initializer
-        cfg = SolverConfig(method="direct", c_guess=3.5)
-        pair = kuiper_pair_solver(0.05, 6, 1, cfg)
-        assert pair.c == pytest.approx(1.5490, abs=1e-4)
+        # Newton from 1.8 leaves the basin at n=7, k=5; the solver retries
+        # from the bisection initializer and counts the updates of both tries
+        with pytest.raises(FixedPointDomainError) as err:
+            _iterate(lambda c: _newton_step(f_nlm, c, 0.00792, 7, 5),
+                     solver.C_GUESS, solver.EPSILON)
+        pair = kuiper_pair_solver(0.00792, 7, 5)
+        assert pair.c == pytest.approx(2.5821568, abs=1e-7)
+        assert pair.iterations == 5
+        assert pair.iterations > err.value.steps
+        assert abs(pair.residual) < 1e-10
 
     def test_bisection_init_path(self):
-        cfg = SolverConfig(use_bisection_init=True)
-        pair = kuiper_pair_solver(0.05, 10, 5, cfg)
-        assert pair.c == pytest.approx(1.6630, abs=1e-4)
+        # the retry's path: Newton from the bisection midpoint
+        x0 = get_init_value(f_nlm, *solver.BRACKET, 0.05, 10, 5)
+        c, _ = _iterate(lambda c: _newton_step(f_nlm, c, 0.05, 10, 5), x0,
+                        solver.EPSILON)
+        assert c == pytest.approx(1.6630, abs=1e-4)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -186,6 +196,33 @@ class TestPairSolver:
     def test_unreachable_alpha_propagates(self):
         with pytest.raises(FixedPointDomainError):
             kuiper_pair_solver(0.001, 6, 2)
+
+    def test_unreachable_alpha_names_the_floor(self):
+        with pytest.raises(FixedPointDomainError) as err:
+            kuiper_pair_solver(0.001, 6, 2)
+        assert err.value.argument == "alpha_gap"
+        floor = f"{1.0 + fun_a0(6, 2):.6g}"
+        assert f"order k=2 cannot reach alpha below {floor} at n=6" in str(err.value)
+
+    def test_unreachable_alpha_skips_bisection(self, monkeypatch):
+        def no_bisection(*args):
+            raise AssertionError("bisection ran for an unreachable alpha")
+        monkeypatch.setattr(solver, "get_init_value", no_bisection)
+        for method in ("newton", "direct"):
+            with pytest.raises(FixedPointDomainError) as err:
+                kuiper_pair_solver(0.001, 6, 2, method)
+            assert err.value.argument == "alpha_gap"
+
+    def test_nonpositive_iterate_is_a_domain_error(self):
+        # a Newton iterate reaches c <= 0 here; the bisection retry runs
+        # and also leaves the basin
+        with pytest.raises(FixedPointDomainError) as err:
+            _iterate(lambda c: _newton_step(f_nlm, c, 0.9998, 50, 1),
+                     solver.C_GUESS, solver.EPSILON)
+        assert err.value.argument == "c"
+        with pytest.warns(BracketWarning):
+            with pytest.raises(FixedPointDomainError):
+                kuiper_pair_solver(0.9998, 50, 1)
 
 
 class TestQuantiles:
@@ -238,13 +275,4 @@ class TestQuantiles:
 class TestConfigValidation:
     def test_bad_method(self):
         with pytest.raises(ValueError):
-            SolverConfig(method="bisect")
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=0.0)
-
-    def test_bad_bracket(self):
-        from kuiper_hoe.solver import BisectionBracket
-        with pytest.raises(ValueError):
-            BisectionBracket(a=2.0, b=1.0)
+            kuiper_pair_solver(0.05, 10, 5, method="bisect")
