@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Before/after benchmark: a parent revision against the checkout.
+
+    python scripts/bench.py --parent REV --seeds 601,602,603 --out BENCH_4.json
+
+Extracts the committed files of REV into a temporary directory (git
+archive), then runs ``perfbench/run.py --trace 0`` on both trees for each
+workload and seed.  The two runs of a pair use the same seed, back to
+back; which tree runs first alternates from pair to pair, so that a drift
+in machine speed does not favour one side.  The temporary tree is removed
+afterwards.  Each run lasts --seconds of op time, by default the
+benchmark's own run_seconds.
+
+The JSON written to --out holds the Python and numpy versions and nproc,
+every run's end-to-end metrics, their median and quartiles per tree, and
+per metric the ratio of the medians, the number of pairs in which the
+checkout was better (directions from BENCHMARK.json) and whether the
+medians differ by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def extract(rev: str, dest: Path) -> None:
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run; its final JSON line."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{workload} seed {seed} in {tree} exited "
+                           f"{done.returncode}: {done.stderr.strip()}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list) -> dict:
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "runs": values}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--seeds", required=True, help="comma list of seeds")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="op time per run (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--workloads", default=None,
+                        help="comma list (default: all in BENCHMARK.json)")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = args.seconds or bench["run_seconds"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in bench["workloads"]])
+    seeds = [int(s) for s in args.seeds.split(",")]
+    sides = ("parent", "checkout")
+
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="kuiper-bench-") as tmp:
+        trees = {"parent": Path(tmp), "checkout": ROOT}
+        extract(args.parent, trees["parent"])
+        pair = 0
+        for workload in workloads:
+            runs = {side: [] for side in sides}
+            for seed in seeds:
+                order = sides if pair % 2 == 0 else sides[::-1]
+                for side in order:
+                    runs[side].append(run_once(trees[side], workload, seed,
+                                               seconds))
+                    print(f"{workload} seed {seed} {side}: " + " ".join(
+                        f"{k}={v['value']:.4g}"
+                        for k, v in runs[side][-1]["metrics"].items()),
+                        file=sys.stderr, flush=True)
+                pair += 1
+            entry = {}
+            for side in sides:
+                entry[side] = {
+                    name: summary([r["metrics"][name]["value"]
+                                   for r in runs[side]])
+                    for name in better}
+                entry[side]["failed"] = [r["failed"] for r in runs[side]]
+                entry[side]["attempted"] = [r["attempted"] for r in runs[side]]
+            change = {}
+            for name, direction in better.items():
+                old = entry["parent"][name]["runs"]
+                new = entry["checkout"][name]["runs"]
+                wins = sum((b < a) if direction == "lower" else (b > a)
+                           for a, b in zip(old, new))
+                old_med = entry["parent"][name]["median"]
+                new_med = entry["checkout"][name]["median"]
+                parent_iqr = entry["parent"][name]["q3"] - entry["parent"][name]["q1"]
+                change[name] = {
+                    "median_ratio": new_med / old_med,
+                    "pairs_better": wins, "pairs": len(old),
+                    "median_gap_exceeds_parent_iqr":
+                        abs(new_med - old_med) > parent_iqr}
+            entry["change"] = change
+            results[workload] = entry
+
+    payload = {
+        "command": "python scripts/bench.py " + " ".join(
+            sys.argv[1:] if argv is None else argv),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "parent_rev": git("rev-parse", args.parent),
+        "checkout_rev": git("rev-parse", "HEAD"),
+        "checkout_src_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "seconds": seconds,
+        "seeds": seeds,
+        "workloads": results,
+    }
+    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

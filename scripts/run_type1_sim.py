@@ -21,7 +21,8 @@ def main():
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--nrep", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted (>= 1) but has no effect")
     parser.add_argument("--no-comparators", action="store_true")
     args = parser.parse_args()
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .series import Probability, _check_capacity
 from .solver import _iterate, _newton_step, get_init_value
 
@@ -115,25 +117,40 @@ def _modified_residual(c: float, alpha: float) -> float:
     return (8.0 * c * c - 2.0) * math.exp(-2.0 * c * c) - alpha
 
 
+# (8c^2 - 2) e^{-2c^2} rises to its maximum 4 e^{-3/2} at c = sqrt(3/4) and
+# falls monotonically beyond it, so each level up to the peak has one root
+# on [sqrt(3/4), inf).
+MODIFIED_C_PEAK = math.sqrt(0.75)
+MODIFIED_ALPHA_MAX = 4.0 * math.exp(-1.5)
+
+
 def modified_quantile(alpha: float) -> float:
     """Capacity-independent quantile c solving (8c^2 - 2) e^{-2c^2} = alpha.
 
-    Newton iteration seeded by bisection on [0.6, 3.0]; this is the limit
-    of the order-1 critical value as n grows.
+    Newton iteration seeded by bisection on [sqrt(3/4), 3.0], where the
+    left side falls monotonically; this is the limit of the order-1
+    critical value as n grows.  Levels above its peak 4 e^{-3/2} ~ 0.892521
+    have no root and raise ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    c0 = get_init_value(_modified_residual, 0.6, 3.0, 0.05, alpha)
+    if alpha > MODIFIED_ALPHA_MAX:
+        raise ValueError(f"modified_quantile needs alpha <= 4 e^(-3/2) = "
+                         f"{MODIFIED_ALPHA_MAX:.6f}, got {alpha}")
+    c0 = get_init_value(_modified_residual, MODIFIED_C_PEAK, 3.0, 0.05, alpha)
     return _iterate(lambda c: _newton_step(_modified_residual, c, alpha),
                     c0, 1e-9)[0]
 
 
-def ks_utp_asymptotic(d: float, n: int) -> Probability:
+def ks_utp_asymptotic(d, n: int):
     """Asymptotic two-sided Kolmogorov tail 2 sum_j (-1)^{j-1} e^{-2 j^2 n d^2}.
 
     Terms below 1e-12 are dropped; a vanishing exponent rate returns the
-    limit value 1.
+    limit value 1.  A float d gives a Probability; an ndarray of d gives
+    the clamped tails as an array, each summed with the same terms.
     """
+    if isinstance(d, np.ndarray):
+        return _ks_utp_array(d, n)
     if d < 0.0:
         raise ValueError(f"statistic d must be nonnegative, got {d}")
     _check_capacity(n)
@@ -151,3 +168,24 @@ def ks_utp_asymptotic(d: float, n: int) -> Probability:
         sign = -sign
         j += 1
     return Probability(2.0 * total)
+
+
+def _ks_utp_array(d: np.ndarray, n: int) -> np.ndarray:
+    d = np.asarray(d, dtype=float)
+    if (d < 0.0).any():
+        raise ValueError(f"statistic d must be nonnegative, got {d.min()}")
+    _check_capacity(n)
+    rate = 2.0 * n * d * d
+    live = rate >= 1e-8
+    total = np.zeros_like(rate)
+    sign = 1.0
+    j = 1
+    while True:
+        term = np.exp(-j * j * rate)
+        live &= term >= 1e-12  # terms fall with j, so a dropped row stays out
+        if not live.any():
+            break
+        total += np.where(live, sign * term, 0.0)
+        sign = -sign
+        j += 1
+    return np.clip(np.where(rate < 1e-8, 1.0, 2.0 * total), 0.0, 1.0)

@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="scheme0")
     p.add_argument("--comparators", default="",
                    help="comma list from {ks, stephens}")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted (>= 1) but has no effect; blocks run in one thread")
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -120,19 +120,24 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     q must be the sorted sequence F(X_(1)), ..., F(X_(n)).  Deviations whose
     maximum is negative floor at zero: the supremum of an empirical step
     function against a CDF is never negative.
+
+    A 2-D array of shape (m, n) holds m samples, one per row, and gives
+    three arrays of m per-row values; a 1-D sequence gives three floats.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.size
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    n = q.shape[-1]
     t = np.arange(1.0, n + 1.0)
     if scheme is EdfScheme.STEPHENS_MIXED:
-        d_plus = float((t / n - q).max())
-        d_minus = float((q - (t - 1.0) / n).max())
+        d_plus = (t / n - q).max(axis=-1)
+        d_minus = (q - (t - 1.0) / n).max(axis=-1)
     else:
         qhat = np.asarray(edf_probs(n, scheme))
-        d_plus = float((qhat - q).max())
-        d_minus = float((q - qhat).max())
-    d_plus = max(d_plus, 0.0)
-    d_minus = max(d_minus, 0.0)
+        d_plus = (qhat - q).max(axis=-1)
+        d_minus = (q - qhat).max(axis=-1)
+    d_plus = np.maximum(d_plus, 0.0)
+    d_minus = np.maximum(d_minus, 0.0)
+    if q.ndim == 1:
+        d_plus, d_minus = float(d_plus), float(d_minus)
     return d_plus, d_minus, d_plus + d_minus
 
 

@@ -1,10 +1,20 @@
 """Monte Carlo calibration of the Kuiper test's Type I error.
 
-Draws standard-normal samples under the null, runs the order-k tests (and
-optional comparators) on the same data, and reports per-method rejection
-rates.  Replication i always uses the substream derived from
-(seed, spawn_key=i), so results are reproducible and independent of how
-the replications are chunked across workers.
+Draws samples under the null, runs the order-k tests (and optional
+comparators) on the same data, and reports per-method rejection rates.
+
+Replications run in blocks of BLOCK_REPS.  Block b draws a
+(m, n) array of uniforms from the substream SeedSequence(seed,
+spawn_key=(b,)), with m = min(BLOCK_REPS, replications left), and sorts
+each row.  The sorted uniforms serve directly as the hypothesized CDF
+values F(X_(t)): a standard-normal sample mapped back through its own CDF
+is that uniform sample again, so the normal transform is skipped.  One
+row-wise statistic call per block gives every replication's V_n.
+
+A given (seed, n, n_rep) reproduces the same rejection counts on every
+run.  They differ from releases that drew one substream per replication,
+for the same seed.  ``SimConfig.workers`` is still accepted and validated
+but changes nothing: all blocks run in the calling thread.
 """
 
 from __future__ import annotations
@@ -13,17 +23,17 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .baselines import ks_utp_asymptotic, modified_quantile
 from .gof import EdfScheme, vn_from_probs
 from .solver import kuiper_utq
 
 __all__ = [
+    "BLOCK_REPS",
     "SimConfig",
     "SimResult",
     "normal_cdf",
@@ -33,21 +43,39 @@ __all__ = [
 
 KNOWN_COMPARATORS = ("ks", "stephens")
 
+# Replications per substream; fixed so that results depend on the seed only.
+BLOCK_REPS = 1024
+SUBSTREAMS = (f"SeedSequence(seed, spawn_key=(block,)), "
+              f"{BLOCK_REPS} replications per block")
+
+_STANDARD_NORMAL = NormalDist()
+
 
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF (Cephes ndtr; absolute error well below 1e-12)."""
-    return float(ndtr(x))
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2); within 2.2e-16 of scipy's
+    ndtr on [-38, 9]."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def normal_ppf(p: float) -> float:
-    """Standard normal inverse CDF, the sampler's uniform-to-normal map."""
-    return float(ndtri(p))
+    """Standard normal inverse CDF: -inf at 0, +inf at 1, nan for NaN or
+    p outside [0, 1]."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if not 0.0 < p < 1.0:
+        return math.nan
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One Type-I-error experiment: capacity, level, orders, replication
-    count, seed, and the plotting-position scheme of the test statistic."""
+    count, seed, and the plotting-position scheme of the test statistic.
+
+    ``workers`` must be >= 1 and has no effect; it is kept so that existing
+    callers still run."""
 
     n: int
     alpha: float = 0.05
@@ -136,7 +164,8 @@ class SimResult:
 
 def _method_metadata(cfg: SimConfig) -> dict:
     meta = {"hoe": f"V_n with plotting scheme {cfg.scheme.value} against the "
-                   f"order-k upper tail quantile"}
+                   f"order-k upper tail quantile",
+            "substreams": SUBSTREAMS}
     if "ks" in cfg.comparators:
         meta["ks"] = ("exact one-sample KS statistic with the asymptotic "
                       "Kolmogorov tail as p-value")
@@ -150,13 +179,12 @@ def _method_metadata(cfg: SimConfig) -> dict:
 def simulate_type1(cfg: SimConfig) -> SimResult:
     """Estimate Pr{reject | H0 true} for each configured method.
 
-    All methods see the same replication data (paired design).  The normal
-    draws come from inverse-CDF transforms of per-replication uniform
-    substreams, so a given (seed, n, n_rep) reproduces bit-identical rates
-    for any worker count.
+    All methods see the same replication data (paired design), drawn block
+    by block as the module docstring describes.
     """
     crit = {k: kuiper_utq(cfg.alpha, cfg.n, k) for k in cfg.k_set}
-    methods = [f"hoe_k{k}" for k in cfg.k_set] + list(cfg.comparators)
+    rejections = dict.fromkeys([f"hoe_k{k}" for k in cfg.k_set]
+                               + list(cfg.comparators), 0)
     use_ks = "ks" in cfg.comparators
     use_stephens = "stephens" in cfg.comparators
     if use_stephens:
@@ -164,46 +192,24 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
         sqrt_n = math.sqrt(cfg.n)
         t_mult = sqrt_n + 0.155 + 0.24 / sqrt_n
 
-    flags = np.zeros((cfg.n_rep, len(methods)), dtype=bool)
-    t = np.arange(1.0, cfg.n + 1.0)
-
-    def run_one(i: int) -> None:
+    for block, start in enumerate(range(0, cfg.n_rep, BLOCK_REPS)):
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
-        x = ndtri(rng.random(cfg.n))
-        q = ndtr(np.sort(x))
-        _, _, v = vn_from_probs(q, cfg.scheme)
-        col = 0
-        for k in cfg.k_set:
-            flags[i, col] = v > crit[k]
-            col += 1
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,)))
+        q = rng.random((min(BLOCK_REPS, cfg.n_rep - start), cfg.n))
+        q.sort(axis=1)
+        stat = vn_from_probs(q, cfg.scheme)
+        for k, v_crit in crit.items():
+            rejections[f"hoe_k{k}"] += int(np.count_nonzero(stat[2] > v_crit))
         if use_ks or use_stephens:
-            up = float((t / cfg.n - q).max())
-            down = float((q - (t - 1.0) / cfg.n).max())
+            if cfg.scheme is not EdfScheme.STEPHENS_MIXED:
+                stat = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
+            d_plus, d_minus, v_exact = stat
             if use_ks:
-                d = max(up, down)
-                flags[i, col] = ks_utp_asymptotic(d, cfg.n) < cfg.alpha
-                col += 1
+                p = ks_utp_asymptotic(np.maximum(d_plus, d_minus), cfg.n)
+                rejections["ks"] += int(np.count_nonzero(p < cfg.alpha))
             if use_stephens:
-                v_exact = max(up, 0.0) + max(down, 0.0)
-                flags[i, col] = v_exact * t_mult > c_mk
+                rejections["stephens"] += int(
+                    np.count_nonzero(v_exact * t_mult > c_mk))
 
-    if cfg.workers == 1:
-        for i in range(cfg.n_rep):
-            run_one(i)
-    else:
-        chunk = math.ceil(cfg.n_rep / cfg.workers)
-        spans = [range(lo, min(lo + chunk, cfg.n_rep))
-                 for lo in range(0, cfg.n_rep, chunk)]
-
-        def run_span(span):
-            for i in span:
-                run_one(i)
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(run_span, spans))
-
-    counts = flags.sum(axis=0)
-    rejections = {m: int(counts[idx]) for idx, m in enumerate(methods)}
     return SimResult(config=cfg, rejections=rejections,
                      metadata=_method_metadata(cfg))

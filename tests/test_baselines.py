@@ -152,6 +152,27 @@ class TestModifiedQuantile:
         with pytest.raises(ValueError):
             modified_quantile(0.0)
 
+    @pytest.mark.parametrize("alpha,c_ref", [(0.43, 1.27224), (0.89, 0.88801)])
+    def test_levels_above_the_old_bracket(self, alpha, c_ref):
+        c = modified_quantile(alpha)
+        assert c == pytest.approx(c_ref, abs=1e-5)
+        assert abs((8.0 * c * c - 2.0) * math.exp(-2.0 * c * c)
+                   - alpha) < 1e-8
+
+    def test_root_lies_on_the_falling_branch(self):
+        # the left side also equals alpha once below c = sqrt(3/4)
+        for alpha in (0.3, 0.5, 0.7, 0.85):
+            assert modified_quantile(alpha) > math.sqrt(0.75)
+
+    def test_peak_level_is_the_limit(self):
+        peak = 4.0 * math.exp(-1.5)
+        assert modified_quantile(peak) == pytest.approx(math.sqrt(0.75),
+                                                        abs=1e-4)
+        with pytest.raises(ValueError, match="0.892521"):
+            modified_quantile(math.nextafter(peak, 1.0))
+        with pytest.raises(ValueError, match="0.892521"):
+            modified_quantile(0.95)
+
 
 class TestKsTail:
     def test_zero_statistic(self):
@@ -165,6 +186,19 @@ class TestKsTail:
         grid = np.linspace(0.01, 0.3, 40)
         vals = [float(ks_utp_asymptotic(d, 100)) for d in grid]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    def test_array_matches_scalar_path(self):
+        d = np.concatenate([[0.0, 1e-6, 1e-5], np.linspace(0.001, 0.4, 400),
+                            [0.9, 2.0]])
+        for n in (1, 10, 100, 5000):
+            got = ks_utp_asymptotic(d, n)
+            assert isinstance(got, np.ndarray) and got.shape == d.shape
+            want = [float(ks_utp_asymptotic(float(x), n)) for x in d]
+            assert np.abs(got - want).max() <= 1e-14
+
+    def test_array_rejects_negative(self):
+        with pytest.raises(ValueError):
+            ks_utp_asymptotic(np.array([0.1, -0.1]), 10)
 
     def test_empirical_rejection_rate(self):
         # exact KS statistic of standard-normal data, asymptotic p-value

@@ -156,6 +156,20 @@ class TestComputeVn:
                 worst = max(worst, vn_from_probs(np.sort(q))[2])
             assert worst <= 1.0 + 1.0 / n
 
+    @pytest.mark.parametrize("scheme", list(EdfScheme))
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_rows_match_one_dimensional_calls(self, scheme, n):
+        # small n makes rows whose scheme deviations floor at zero
+        q = np.sort(np.random.default_rng(n).random((300, n)), axis=1)
+        d_plus, d_minus, v_n = vn_from_probs(q, scheme)
+        assert d_plus.shape == d_minus.shape == v_n.shape == (300,)
+        for i, row in enumerate(q):
+            assert (d_plus[i], d_minus[i], v_n[i]) == vn_from_probs(row, scheme)
+
+    def test_one_dimensional_input_gives_floats(self):
+        for q in ([0.2, 0.7], np.array([0.2, 0.7])):
+            assert all(type(x) is float for x in vn_from_probs(q))
+
 
 class TestKuiperTest:
     def test_decile_fixture_accepts(self):

@@ -5,15 +5,19 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from kuiper_hoe.gof import EdfScheme
+from kuiper_hoe.baselines import ks_utp_asymptotic, modified_quantile
+from kuiper_hoe.gof import EdfScheme, vn_from_probs
 from kuiper_hoe.montecarlo import (
+    BLOCK_REPS,
     SimConfig,
     normal_cdf,
     normal_ppf,
     simulate_type1,
 )
+from kuiper_hoe.solver import kuiper_utq
 
 
 class TestNormalCdf:
@@ -31,6 +35,32 @@ class TestNormalCdf:
     def test_ppf_round_trip(self):
         for p in (0.025, 0.31, 0.5, 0.84, 0.999):
             assert normal_cdf(normal_ppf(p)) == pytest.approx(p, abs=1e-12)
+
+    def test_far_lower_tail(self):
+        # Phi(-10) = 7.6198530241605260e-24 (Abramowitz and Stegun 26.2.12)
+        assert normal_cdf(-10.0) == pytest.approx(7.619853024160526e-24,
+                                                  rel=1e-12)
+
+
+class TestNormalPpfEdges:
+    def test_endpoints_are_infinite(self):
+        assert normal_ppf(0.0) == -math.inf
+        assert normal_ppf(1.0) == math.inf
+
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, -math.inf, math.inf])
+    def test_outside_unit_interval_is_nan(self, p):
+        assert math.isnan(normal_ppf(p))
+
+    def test_known_quantiles(self):
+        assert normal_ppf(0.5) == 0.0
+        assert normal_ppf(0.975) == pytest.approx(1.959963984540054,
+                                                  abs=1e-15)
+        assert normal_ppf(1e-12) == pytest.approx(-7.034483825301131,
+                                                  abs=1e-13)
+
+    def test_numpy_scalar_input(self):
+        assert normal_ppf(np.float64(0.0)) == -math.inf
+        assert normal_ppf(np.float64(0.84)) == normal_ppf(0.84)
 
 
 class TestSimulate:
@@ -79,6 +109,51 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimConfig(n=10, comparators=("bogus",))
 
+    def test_stephens_comparator_above_old_bracket_level(self):
+        # alpha = 0.5 has its modified quantile left of the old bracket
+        r = simulate_type1(SimConfig(n=10, alpha=0.5, k_set=(1,), n_rep=50,
+                                     seed=4, comparators=("stephens",)))
+        assert 0.0 <= r.p_type1["stephens"] <= 1.0
+
+
+def _reference_rejections(cfg: SimConfig) -> dict:
+    """The documented block layout as a plain per-replication loop: rows of
+    one block are consecutive draws of the block's own generator."""
+    crit = {k: kuiper_utq(cfg.alpha, cfg.n, k) for k in cfg.k_set}
+    c_mk = modified_quantile(cfg.alpha)
+    t_mult = math.sqrt(cfg.n) + 0.155 + 0.24 / math.sqrt(cfg.n)
+    counts = dict.fromkeys([f"hoe_k{k}" for k in cfg.k_set]
+                           + list(cfg.comparators), 0)
+    blocks = math.ceil(cfg.n_rep / BLOCK_REPS)
+    for b in range(blocks):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
+        for _ in range(min(BLOCK_REPS, cfg.n_rep - b * BLOCK_REPS)):
+            q = np.sort(rng.random(cfg.n))
+            v = vn_from_probs(q, cfg.scheme)[2]
+            for k in cfg.k_set:
+                counts[f"hoe_k{k}"] += v > crit[k]
+            d_plus, d_minus, v_exact = vn_from_probs(
+                q, EdfScheme.STEPHENS_MIXED)
+            counts["ks"] += float(ks_utp_asymptotic(max(d_plus, d_minus),
+                                                    cfg.n)) < cfg.alpha
+            counts["stephens"] += v_exact * t_mult > c_mk
+    return counts
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("scheme", [EdfScheme.SCHEME0,
+                                        EdfScheme.STEPHENS_MIXED])
+    def test_counts_match_plain_reference_loop(self, scheme):
+        # 2500 replications: two full blocks and one partial block
+        cfg = SimConfig(n=12, k_set=(1, 3, 5), n_rep=2500, seed=2024,
+                        scheme=scheme, comparators=("ks", "stephens"))
+        assert simulate_type1(cfg).rejections == _reference_rejections(cfg)
+
+    def test_workers_accepted_but_validated(self):
+        with pytest.raises(ValueError):
+            SimConfig(n=10, workers=0)
+
 
 class TestSerialization:
     def test_csv_round_trip(self):
@@ -107,6 +182,14 @@ class TestSerialization:
         assert by_method["hoe_k2"]["p_type1"] == r.p_type1["hoe_k2"]
         assert by_method["stephens"]["k"] is None
         assert "stephens" in payload["metadata"]
+
+    def test_json_metadata_names_the_substreams(self):
+        r = simulate_type1(SimConfig(n=6, k_set=(1,), n_rep=20, seed=8))
+        payload = json.loads(r.to_json())
+        assert payload["metadata"]["substreams"] == (
+            "SeedSequence(seed, spawn_key=(block,)), "
+            "1024 replications per block")
+        assert payload["metadata"] == r.metadata
 
     def test_ci_halfwidth_formula(self):
         r = simulate_type1(SimConfig(n=10, k_set=(1,), n_rep=500, seed=13))
