@@ -6,9 +6,7 @@ Carlo Type-I-error harness.
 """
 
 from .series import (
-    DEFAULT_SERIES,
     Probability,
-    SeriesConfig,
     b_series,
     cdf_kn,
     cdf_vn,

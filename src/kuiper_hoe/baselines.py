@@ -142,12 +142,21 @@ def modified_quantile(alpha: float) -> float:
                     c0, 1e-9)[0]
 
 
+# Below this exponent rate 2 n d^2 the tail is 1 to double precision.  By
+# the dual (theta-function) form of the series, with lambda^2 = rate / 2,
+#   1 - Q = sqrt(2 pi) / lambda * sum_{j>=1} e^{-(2j-1)^2 pi^2 / (8 lambda^2)},
+# which is 5.9e-21 at rate 0.05, while the alternating sum would need
+# sqrt(27.6 / rate) terms to get there (37k at d = 1e-4, n = 1).
+_KS_FLAT_RATE = 0.05
+
+
 def ks_utp_asymptotic(d, n: int):
     """Asymptotic two-sided Kolmogorov tail 2 sum_j (-1)^{j-1} e^{-2 j^2 n d^2}.
 
-    Terms below 1e-12 are dropped; a vanishing exponent rate returns the
-    limit value 1.  A float d gives a Probability; an ndarray of d gives
-    the clamped tails as an array, each summed with the same terms.
+    Terms below 1e-12 are dropped; an exponent rate below _KS_FLAT_RATE
+    returns the limit value 1.  A float d gives a Probability; an ndarray
+    of d gives the clamped tails as an array, each summed with the same
+    terms.
     """
     if isinstance(d, np.ndarray):
         return _ks_utp_array(d, n)
@@ -155,7 +164,7 @@ def ks_utp_asymptotic(d, n: int):
         raise ValueError(f"statistic d must be nonnegative, got {d}")
     _check_capacity(n)
     rate = 2.0 * n * d * d
-    if rate < 1e-8:
+    if rate < _KS_FLAT_RATE:
         return Probability(1.0)
     total = 0.0
     sign = 1.0
@@ -176,7 +185,7 @@ def _ks_utp_array(d: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"statistic d must be nonnegative, got {d.min()}")
     _check_capacity(n)
     rate = 2.0 * n * d * d
-    live = rate >= 1e-8
+    live = rate >= _KS_FLAT_RATE
     total = np.zeros_like(rate)
     sign = 1.0
     j = 1
@@ -188,4 +197,4 @@ def _ks_utp_array(d: np.ndarray, n: int) -> np.ndarray:
         total += np.where(live, sign * term, 0.0)
         sign = -sign
         j += 1
-    return np.clip(np.where(rate < 1e-8, 1.0, 2.0 * total), 0.0, 1.0)
+    return np.clip(np.where(rate < _KS_FLAT_RATE, 1.0, 2.0 * total), 0.0, 1.0)

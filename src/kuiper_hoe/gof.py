@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import Probability, SeriesConfig, DEFAULT_SERIES, utp
+from .series import Probability, utp
 from .solver import kuiper_utq
 
 __all__ = [
@@ -153,8 +153,7 @@ def compute_vn(sample: SampleSet, hypothesized_cdf,
 
 
 def kuiper_test(sample: SampleSet, hypothesized_cdf, alpha: float = 0.05,
-                k: int = 5, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED,
-                series_cfg: SeriesConfig = DEFAULT_SERIES) -> TestResult:
+                k: int = 5, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED) -> TestResult:
     """Run the Kuiper goodness-of-fit test at level alpha and order k.
 
     Rejects when V_n exceeds the solved critical quantile.  The reported
@@ -166,7 +165,7 @@ def kuiper_test(sample: SampleSet, hypothesized_cdf, alpha: float = 0.05,
     d_plus, d_minus, v_n = compute_vn(sample, hypothesized_cdf, scheme)
     v_critical = kuiper_utq(alpha, sample.n, k)
     if v_n > 0.0:
-        p_value = utp(v_n * math.sqrt(sample.n), sample.n, k, series_cfg)
+        p_value = utp(v_n * math.sqrt(sample.n), sample.n, k)
     else:
         p_value = Probability(1.0)
     return TestResult(d_plus=d_plus, d_minus=d_minus, v_n=v_n,

@@ -3,32 +3,38 @@
 The scaled statistic ``K_n = sqrt(n) * V_n`` satisfies, at expansion
 order ``k``,
 
-    Pr{K_n <= c}  ~=  sum_{i=0}^{k}  B_i(c) / n^(i/2)
+    Pr{K_n <= c}  ~=  sum_{i=0}^{k}  B_i(c) / n^(i/2),
+    B_i(c)  =  C_i + sum_{j=1}^{J_MAX} P_i(c, j^2) e^{-2 j^2 c^2},
 
 and the paper claims an approximation error of order ``n^(-(k+1)/2)``.
 For k >= 2, though, the approximant tends to 1 - 1/(18n) (plus
 1/(648n^2) for k >= 4) as c grows, so its sup error against the exact
-law is never below about 1/(18n).  The coefficient
-functions ``B_i`` are rapidly convergent exponential series in ``c``;
-``B_0`` and ``B_1`` are Kuiper's classical limit functions.  This module
-evaluates the full series with a configurable truncation of the inner sum
-over ``j``, plus the polynomial coefficients ``A_j(c, n, k)`` of the
-two-exponential tail form
+law is never below about 1/(18n).  ``B_0`` and ``B_1`` are Kuiper's
+classical limit functions.
+
+The expansion is written down once, in ``_TABLE``: per order i the
+constant C_i and the polynomial P_i in c and J = j^2.  The inner sum is
+truncated at the fixed ``J_MAX = 10``; the terms beyond it add less than
+1e-25 to any B_i for c >= 0.6.  The solver's two-exponential tail form
 
     alpha = [1 + A_0(n,k)] + A_1(c,n,k) e^{-2c^2} + A_2(c,n,k) e^{-8c^2}
 
-used by the quantile solver.
+is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
+exception: the published critical-value tables were computed with a
+k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
+series value, and ``fun_aj`` keeps it so that it reproduces those tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+
+import numpy as np
 
 __all__ = [
-    "SeriesConfig",
     "Probability",
-    "DEFAULT_SERIES",
     "b_series",
     "fun_a0",
     "fun_aj",
@@ -37,25 +43,82 @@ __all__ = [
     "utp",
 ]
 
+J_MAX = 10          # truncation of the inner sum over j
+TRUST_FLOOR = 0.6   # below this c results carry an accuracy advisory
+_CACHE_SIZE = 128   # (n, k) keys whose combined expansion is kept
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Evaluation knobs for the coefficient series.
+# One row per order i: (C_i, rational factor, P_i as
+# {(power of c, power of J = j^2): integer coefficient}), so that the j-th
+# term of B_i is factor * P_i(c, j^2) * e^{-2 j^2 c^2}.
+_TABLE = (
+    (1.0, 1.0, {(2, 1): -8, (0, 0): 2}),
+    (0.0, 8 / 3, {(3, 2): 4, (1, 1): -3}),
+    (-1 / 18, 1 / 9, {(4, 3): -64, (2, 2): 96, (2, 1): 4, (0, 1): -12, (0, 0): -1}),
+    (0.0, 16 / 81, {(5, 4): 16, (3, 3): -40, (3, 2): -4, (1, 2): 15, (1, 1): 3}),
+    (1 / 648, 1 / 972, {(6, 5): -1024, (4, 4): 3840, (4, 3): 640, (4, 2): 16,
+                        (2, 3): -2880, (2, 2): -960, (2, 1): -24,
+                        (0, 2): 240, (0, 1): 120, (0, 0): 3}),
+    (0.0, 32 / 3645, {(7, 6): 512, (5, 5): -2688, (5, 4): -640, (5, 3): -48,
+                      (3, 4): 3360, (3, 3): 1600, (3, 2): 120,
+                      (1, 3): -840, (1, 2): -600, (1, 1): -45}),
+)
 
-    j_max is the truncation point of the inner exponential sum; c_min_warn
-    is the argument below which results carry an accuracy advisory (the
-    asymptotic series is not trustworthy near zero).
-    """
+# The published tables' k >= 4 constant of A_2 (-2403/972) lies this far
+# above the series value -(240*16 + 120*4 + 3)/972.
+_A2_TABLE_SHIFT = 1920 / 972
 
-    j_max: int = 10
-    c_min_warn: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.j_max < 1:
-            raise ValueError(f"j_max must be >= 1, got {self.j_max}")
+_ORDERS = len(_TABLE)
+_J2 = tuple(float(j * j) for j in range(1, J_MAX + 1))
 
 
-DEFAULT_SERIES = SeriesConfig()
+def _coefficients() -> np.ndarray:
+    """[i, p * J_MAX + j - 1]: the coefficient of c^p in factor_i * P_i(c, j^2)."""
+    j2 = np.arange(1, J_MAX + 1, dtype=np.int64) ** 2
+    exact = np.zeros((_ORDERS, _ORDERS + 2, J_MAX), dtype=np.int64)
+    for i, (_, _, poly) in enumerate(_TABLE):
+        for (p, q), coef in poly.items():
+            exact[i, p] += coef * j2 ** q
+    return exact.reshape(_ORDERS, -1) * np.array([row[1] for row in _TABLE])[:, None]
+
+
+_COEFFICIENTS = _coefficients()
+
+
+def _combine(weights: list[float]) -> tuple[float, tuple]:
+    """sum_i weights[i] B_i(c) as its constant C and, per j, (j^2, the
+    coefficients of its polynomial in c from the highest power down)."""
+    powers = len(weights) + 2  # B_i has degree i + 2 in c
+    poly = np.array(weights) @ _COEFFICIENTS[:len(weights), :powers * J_MAX]
+    const = sum(w * row[0] for w, row in zip(weights, _TABLE))
+    rows = map(tuple, poly.reshape(powers, J_MAX)[::-1].T.tolist())
+    return const, tuple(zip(_J2, rows))
+
+
+_SINGLE_ORDERS = tuple(_combine([0.0] * i + [1.0]) for i in range(_ORDERS))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _expansion(n: int, k: int) -> tuple[float, tuple]:
+    """The order-k expansion at capacity n, its orders weighted by n^(-i/2)."""
+    root = math.sqrt(n)
+    powers = (1, root, n, n * root, n * n, n * n * root)
+    return _combine([1.0 / p for p in powers[:k + 1]])
+
+
+def _horner(coeffs, c: float) -> float:
+    total = 0.0
+    for a in coeffs:
+        total = total * c + a
+    return total
+
+
+def _evaluate(expansion: tuple[float, tuple], c: float) -> float:
+    """C + sum_j P_j(c) e^{-2 j^2 c^2}, one exp per j."""
+    total, rows = expansion
+    c2 = c * c
+    for j2, coeffs in rows:
+        total += _horner(coeffs, c) * math.exp(-2.0 * j2 * c2)
+    return total
 
 
 class Probability(float):
@@ -79,171 +142,93 @@ class Probability(float):
         return self
 
 
-def _check_order(k: int) -> None:
-    if not isinstance(k, int) or not 1 <= k <= 5:
-        raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")
+def _is_integer(x) -> bool:
+    """int or a NumPy integer, but not bool."""
+    return type(x) is int or (isinstance(x, numbers.Integral)
+                              and not isinstance(x, bool))
 
 
 def _check_capacity(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"sample capacity n must be >= 1, got {n}")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"sample capacity n must be an integer >= 1, got {n!r}")
 
 
-# Standalone constants of B_i (the value each series tends to as c grows).
-_B_CONSTANTS = (1.0, 0.0, -1.0 / 18.0, 0.0, 1.0 / 648.0, 0.0)
+def _check_key(n: int, k: int) -> None:
+    """Validate (n, k) before any _expansion lookup: the cache would take
+    True for 1 and 10.0 for 10, since they hash alike."""
+    if type(n) is int and type(k) is int and n >= 1 and 1 <= k <= 5:
+        return  # the common case, without the slower ABC checks below
+    _check_capacity(n)
+    if not _is_integer(k) or not 1 <= k <= 5:
+        raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")
 
 
-def _b_term(i: int, j: int, c: float) -> float:
-    """The j-th term of the exponential series of B_i."""
-    j2 = float(j * j)
-    c2 = c * c
-    e = math.exp(-2.0 * j2 * c2)
-    if i == 0:
-        return -2.0 * (4.0 * j2 * c2 - 1.0) * e
-    if i == 1:
-        return (8.0 / 3.0) * c * j2 * (4.0 * c2 * j2 - 3.0) * e
-    j4 = j2 * j2
-    if i == 2:
-        return (1.0 / 9.0) * (4.0 * c2 * j2 * (-16.0 * c2 * j4 + 24.0 * j2 + 1.0)
-                              - 12.0 * j2 - 1.0) * e
-    j6 = j4 * j2
-    if i == 3:
-        return (16.0 / 81.0) * c * j2 * (16.0 * c2 * c2 * j6 - 40.0 * c2 * j4
-                                         - 4.0 * c2 * j2 + 15.0 * j2 + 3.0) * e
-    if i == 4:
-        c4 = c2 * c2
-        return (1.0 / 972.0) * (16.0 * c4 * j4 * (-64.0 * c2 * j6 + 240.0 * j4
-                                                  + 40.0 * j2 + 1.0)
-                                - 24.0 * c2 * j2 * (120.0 * j4 + 40.0 * j2 + 1.0)
-                                + 120.0 * j2 * (2.0 * j2 + 1.0) + 3.0) * e
-    # i == 5
-    c3 = c2 * c
-    c5 = c3 * c2
-    return (32.0 / 3645.0) * (16.0 * c5 * j6 * (32.0 * c2 * j6 - 168.0 * j4
-                                                - 40.0 * j2 - 3.0)
-                              + 40.0 * c3 * j4 * (84.0 * j4 + 40.0 * j2 + 3.0)
-                              - 15.0 * c * j2 * (56.0 * j4 + 40.0 * j2 + 3.0)) * e
+def _check_argument(c: float) -> None:
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"statistic argument c must be positive and finite, got {c}")
 
 
-def b_series(i: int, c: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """Coefficient function B_i(c), inner sum truncated at cfg.j_max.
+def b_series(i: int, c: float) -> float:
+    """Coefficient function B_i(c), inner sum truncated at J_MAX.
 
     B_0 and B_1 reproduce Kuiper's classical limit functions; higher
     orders refine the finite-n CDF.
     """
     if not isinstance(i, int) or not 0 <= i <= 5:
         raise ValueError(f"coefficient index i must be an integer in 0..5, got {i!r}")
-    if c <= 0.0:
-        raise ValueError(f"statistic argument c must be positive, got {c}")
-    total = _B_CONSTANTS[i]
-    for j in range(1, cfg.j_max + 1):
-        total += _b_term(i, j, c)
-    return total
+    _check_argument(c)
+    return _evaluate(_SINGLE_ORDERS[i], c)
 
 
 def fun_a0(n: int, k: int) -> float:
-    """Constant coefficient A_0(n, k) of the two-exponential tail form.
-
-    The corrections are pure floats on purpose: with integer arithmetic
-    1/(18*n) truncates to zero.
-    """
-    _check_capacity(n)
-    _check_order(k)
-    a0 = -1.0
-    if k > 1:
-        a0 += 1.0 / (18.0 * n)
-    if k > 3:
-        a0 -= 1.0 / (648.0 * n * n)
-    return a0
+    """Constant coefficient A_0(n, k) = -sum_{i<=k} C_i / n^(i/2) of the
+    two-exponential tail form."""
+    _check_key(n, k)
+    return -_expansion(n, k)[0]
 
 
 def fun_aj(j: int, c: float, n: int, k: int) -> float:
     """Polynomial coefficient A_j(c, n, k) of e^{-2 j^2 c^2}, j in {1, 2}.
 
-    Accumulates one term per order, gated by k.  These blocks are kept
-    exactly as the reference critical-value tables were computed with;
-    the k=4 constant of A_2 and the k=5 terms differ slightly from the
-    exact series coefficients in b_series (see _b_term).
+    A_j = -sum_{i<=k} factor_i P_i(c, j^2) / n^(i/2), plus _A2_TABLE_SHIFT
+    / n^2 for j = 2 at k >= 4, the constant the reference critical-value
+    tables were computed with.
     """
     if j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
-    if c <= 0.0:
-        raise ValueError(f"statistic argument c must be positive, got {c}")
-    _check_capacity(n)
-    _check_order(k)
-
-    sqrt_n = math.sqrt(n)
-    n_1 = float(n)
-    n_32 = n_1 * sqrt_n
-    n_2 = n_1 * n_1
-    n_52 = n_2 * sqrt_n
-
-    c2 = c * c
-    c3 = c2 * c
-    c4 = c2 * c2
-    c5 = c4 * c
-    c6 = c4 * c2
-    c7 = c6 * c
-
-    if j == 1:
-        a = (8.0 * c2 - 2.0) - 8.0 * (4.0 * c3 - 3.0 * c) / (3.0 * sqrt_n)
-        if k > 1:
-            a += (64.0 * c4 - 100.0 * c2 + 13.0) / (9.0 * n_1)
-        if k > 2:
-            a -= 32.0 * (8.0 * c5 - 22.0 * c3 + 9.0 * c) / (81.0 * n_32)
-        if k > 3:
-            a += (1024.0 * c6 - 4496.0 * c4 + 3864.0 * c2 - 363.0) / (972.0 * n_2)
-        if k > 4:
-            a -= 32.0 * (512.0 * c7 - 3376.0 * c5 + 5080.0 * c3
-                         - 1485.0 * c) / (3645.0 * n_52)
-        return a
-
-    a = (32.0 * c2 - 2.0) - 32.0 * (16.0 * c3 - 3.0 * c) / (3.0 * sqrt_n)
-    if k > 1:
-        a += (4096.0 * c4 - 1552.0 * c2 + 49.0) / (9.0 * n_1)
-    if k > 2:
-        a -= 64.0 * (1024.0 * c5 - 656.0 * c3 + 63.0 * c) / (81.0 * n_32)
-    if k > 3:
-        a += (1048576.0 * c6 - 1024256.0 * c4 + 199776.0 * c2
-              - 2403.0) / (972.0 * n_2)
-    if k > 4:
-        a -= 32.0 * (2097152.0 * c7 - 2919424.0 * c5 + 964480.0 * c3
-                     - 63540.0 * c) / (3645.0 * n_52)
+    _check_argument(c)
+    _check_key(n, k)
+    a = -_horner(_expansion(n, k)[1][j - 1][1], c)
+    if j == 2 and k >= 4:
+        a += _A2_TABLE_SHIFT / float(n) ** 2
     return a
 
 
-def _floor_warning(c: float, cfg: SeriesConfig) -> str | None:
-    if c < cfg.c_min_warn:
+def _floor_warning(c: float) -> str | None:
+    if c < TRUST_FLOOR:
         return (f"c={c:.6g} is below the series trust floor "
-                f"{cfg.c_min_warn}; the asymptotic expansion is unreliable there")
+                f"{TRUST_FLOOR}; the asymptotic expansion is unreliable there")
     return None
 
 
-def cdf_kn(c: float, n: int, k: int, cfg: SeriesConfig = DEFAULT_SERIES) -> Probability:
+def cdf_kn(c: float, n: int, k: int) -> Probability:
     """CDF Pr{K_n <= c} at expansion order k, clamped into [0, 1].
 
     Note that for k >= 2 the approximant's large-c limit is
     1 - 1/(18n) + 1/(648n^2) rather than exactly 1; the residue is the
     order-n^{-1} constant of the expansion itself.
     """
-    _check_capacity(n)
-    _check_order(k)
-    sqrt_n = math.sqrt(n)
-    raw = 0.0
-    scale = 1.0
-    for i in range(k + 1):
-        raw += b_series(i, c, cfg) * scale
-        scale /= sqrt_n
-    return Probability(raw, warning=_floor_warning(c, cfg))
+    _check_argument(c)
+    _check_key(n, k)
+    return Probability(_evaluate(_expansion(n, k), c), warning=_floor_warning(c))
 
 
-def cdf_vn(v: float, n: int, k: int, cfg: SeriesConfig = DEFAULT_SERIES) -> Probability:
+def cdf_vn(v: float, n: int, k: int) -> Probability:
     """CDF Pr{V_n <= v}, evaluated as cdf_kn(v*sqrt(n), n, k)."""
-    return cdf_kn(v * math.sqrt(n), n, k, cfg)
+    return cdf_kn(v * math.sqrt(n), n, k)
 
 
-def utp(c: float, n: int, k: int, cfg: SeriesConfig = DEFAULT_SERIES,
-        truncated: bool = False) -> Probability:
+def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     """Upper tail probability Pr{K_n > c}, clamped into [0, 1].
 
     With truncated=True the two-exponential solver form
@@ -256,6 +241,6 @@ def utp(c: float, n: int, k: int, cfg: SeriesConfig = DEFAULT_SERIES,
         a2 = fun_aj(2, c, n, k)
         c2 = c * c
         raw = (1.0 + a0) + a1 * math.exp(-2.0 * c2) + a2 * math.exp(-8.0 * c2)
-        return Probability(raw, warning=_floor_warning(c, cfg))
-    full = cdf_kn(c, n, k, cfg)
+        return Probability(raw, warning=_floor_warning(c))
+    full = cdf_kn(c, n, k)
     return Probability(1.0 - full.raw, warning=full.warning)

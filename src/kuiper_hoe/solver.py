@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .series import _check_capacity, _check_order, fun_a0, fun_aj
+from .series import _check_key, fun_a0, fun_aj
 
 __all__ = [
     "KuiperPair",
@@ -203,8 +203,7 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
         raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _check_capacity(n)
-    _check_order(k)
+    _check_key(n, k)
     _alpha_gap(alpha, n, k)
 
     if method == "direct":

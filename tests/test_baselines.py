@@ -200,6 +200,31 @@ class TestKsTail:
         with pytest.raises(ValueError):
             ks_utp_asymptotic(np.array([0.1, -0.1]), 10)
 
+    @staticmethod
+    def dual_form(rate):
+        """Q from the dual (theta) series: 1 - sqrt(2 pi)/lambda *
+        sum_j e^{-(2j-1)^2 pi^2 / (8 lambda^2)}, lambda^2 = rate / 2."""
+        lam2 = rate / 2.0
+        tail = sum(math.exp(-(2 * j - 1) ** 2 * math.pi ** 2 / (8.0 * lam2))
+                   for j in range(1, 40))
+        return 1.0 - math.sqrt(2.0 * math.pi / lam2) * tail
+
+    def test_matches_dual_form(self):
+        n = 7
+        for rate in np.linspace(0.05, 2.0, 80):
+            d = math.sqrt(rate / (2.0 * n))
+            want = self.dual_form(rate)
+            assert float(ks_utp_asymptotic(d, n)) == pytest.approx(want, abs=1e-11)
+            assert ks_utp_asymptotic(np.array([d]), n)[0] == pytest.approx(
+                want, abs=1e-11)
+
+    def test_one_below_the_flat_rate(self):
+        d = np.sqrt(np.linspace(0.0, 0.0499, 50) / 2.0)
+        assert all(float(ks_utp_asymptotic(float(x), 1)) == 1.0 for x in d)
+        assert (ks_utp_asymptotic(d, 1) == 1.0).all()
+        # d = 1e-4 at n = 1 once took ~37k terms of the alternating sum
+        assert float(ks_utp_asymptotic(1e-4, 1)) == 1.0
+
     def test_empirical_rejection_rate(self):
         # exact KS statistic of standard-normal data, asymptotic p-value
         from scipy.special import ndtr, ndtri

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from kuiper_hoe.series import (
-    DEFAULT_SERIES,
     Probability,
-    SeriesConfig,
     b_series,
     cdf_kn,
     cdf_vn,
@@ -17,9 +15,6 @@ from kuiper_hoe.series import (
     fun_aj,
     utp,
 )
-
-WIDE_CFG = SeriesConfig(j_max=50)
-
 
 # --------------------------------------------------------------------------
 # independent re-implementations used as oracles
@@ -40,6 +35,45 @@ def kuiper_limit_b(c, terms=80):
         total += (8.0 / 3.0) * c * j * j * (4.0 * j * j * c * c - 3.0) \
             * math.exp(-2.0 * j * j * c * c)
     return total
+
+
+def b_term_oracle(i, j, c):
+    """The j-th term of the exponential series of B_i, typed out per order."""
+    j2 = float(j * j)
+    c2 = c * c
+    e = math.exp(-2.0 * j2 * c2)
+    if i == 0:
+        return -2.0 * (4.0 * j2 * c2 - 1.0) * e
+    if i == 1:
+        return (8.0 / 3.0) * c * j2 * (4.0 * c2 * j2 - 3.0) * e
+    j4 = j2 * j2
+    if i == 2:
+        return (1.0 / 9.0) * (4.0 * c2 * j2 * (-16.0 * c2 * j4 + 24.0 * j2 + 1.0)
+                              - 12.0 * j2 - 1.0) * e
+    j6 = j4 * j2
+    if i == 3:
+        return (16.0 / 81.0) * c * j2 * (16.0 * c2 * c2 * j6 - 40.0 * c2 * j4
+                                         - 4.0 * c2 * j2 + 15.0 * j2 + 3.0) * e
+    if i == 4:
+        c4 = c2 * c2
+        return (1.0 / 972.0) * (16.0 * c4 * j4 * (-64.0 * c2 * j6 + 240.0 * j4
+                                                  + 40.0 * j2 + 1.0)
+                                - 24.0 * c2 * j2 * (120.0 * j4 + 40.0 * j2 + 1.0)
+                                + 120.0 * j2 * (2.0 * j2 + 1.0) + 3.0) * e
+    c3 = c2 * c
+    c5 = c3 * c2
+    return (32.0 / 3645.0) * (16.0 * c5 * j6 * (32.0 * c2 * j6 - 168.0 * j4
+                                                - 40.0 * j2 - 3.0)
+                              + 40.0 * c3 * j4 * (84.0 * j4 + 40.0 * j2 + 3.0)
+                              - 15.0 * c * j2 * (56.0 * j4 + 40.0 * j2 + 3.0)) * e
+
+
+B_CONSTANTS = (1.0, 0.0, -1.0 / 18.0, 0.0, 1.0 / 648.0, 0.0)
+
+
+def b_oracle(i, c, terms=50):
+    """B_i(c) from the typed-out terms, summed over j = 1..terms."""
+    return B_CONSTANTS[i] + sum(b_term_oracle(i, j, c) for j in range(1, terms + 1))
 
 
 # Re-typed truncated coefficient sets: the coefficient of e^{-2 j^2 c^2}
@@ -118,8 +152,7 @@ class TestBSeries:
     @pytest.mark.parametrize("i", range(6))
     @pytest.mark.parametrize("c", [0.8, 1.0, 1.5, 2.2])
     def test_extended_truncation_oracle(self, i, c):
-        assert b_series(i, c) == pytest.approx(b_series(i, c, WIDE_CFG),
-                                               abs=1e-12)
+        assert b_series(i, c) == pytest.approx(b_oracle(i, c), abs=1e-12)
 
     @pytest.mark.parametrize("c", np.linspace(0.6, 3.0, 25).tolist())
     def test_matches_classical_limit_functions(self, c):
@@ -175,6 +208,18 @@ class TestCoefficientBlocks:
             want = aj_oracle(j, c, n, k)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 6, 10, 1000])
+    def test_a2_table_shift(self, n, k):
+        # A_2 is the j = 2 part of the series, except for the published
+        # tables' k >= 4 constant, which lies 1920/(972 n^2) above it
+        shift = 1920.0 / (972.0 * n * n) if k >= 4 else 0.0
+        for c in (0.7, 1.3, 2.1):
+            series_part = -sum(b_term_oracle(i, 2, c) * math.exp(8.0 * c * c)
+                               / math.sqrt(n) ** i for i in range(k + 1))
+            assert fun_aj(2, c, n, k) - series_part == pytest.approx(
+                shift, abs=1e-10 * max(1.0, abs(series_part)))
+
     @pytest.mark.parametrize("n", [4, 6, 10, 100])
     @pytest.mark.parametrize("c", [0.8, 1.2, 1.8, 2.6])
     def test_accumulation_equals_closed_form(self, n, c):
@@ -202,6 +247,16 @@ class TestCdf:
     def test_table_values_round_trip(self):
         assert float(cdf_vn(0.5080, 10, 1)) == pytest.approx(0.95, abs=5e-4)
         assert float(cdf_vn(0.8948, 6, 5)) == pytest.approx(0.99, abs=1e-3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 6, 10, 1000])
+    def test_matches_per_order_oracle(self, n, k):
+        # the orders are combined once per (n, k); summing them one by one
+        # in another order may differ only by rounding
+        for c in np.linspace(0.6, 3.5, 59):
+            want = sum(b_oracle(i, c, terms=10) / math.sqrt(n) ** i
+                       for i in range(k + 1))
+            assert cdf_kn(c, n, k).raw == pytest.approx(want, abs=1e-13)
 
     def test_cdf_vn_delegates_exactly(self):
         rng = np.random.default_rng(7)
@@ -238,8 +293,7 @@ class TestCdf:
     def test_truncation_stability(self):
         for c in np.arange(0.8, 3.01, 0.2):
             for i in range(6):
-                assert abs(b_series(i, c, SeriesConfig(j_max=10))
-                           - b_series(i, c, SeriesConfig(j_max=50))) < 1e-12
+                assert abs(b_series(i, c) - b_oracle(i, c)) < 1e-12
 
     def test_clamping_flags(self):
         # far below the trust floor the raw series leaves [0, 1]
@@ -276,6 +330,46 @@ class TestUtp:
         p = utp(1.5, 10, 5)
         assert isinstance(p, Probability)
         assert 0.0 <= float(p) <= 1.0
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_argument_raises(self, c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cdf_kn(c, 10, 5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            utp(c, 10, 5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            utp(c, 10, 5, truncated=True)
+        with pytest.raises(ValueError, match="positive and finite"):
+            b_series(2, c)
+
+    @pytest.mark.parametrize("n,k", [(True, 5), (10, True), (10.5, 5), (10.0, 5),
+                                     (10, 5.0), (0, 5), (10, 0), (10, 6),
+                                     (np.bool_(True), 5)])
+    def test_bad_key_raises(self, n, k):
+        for f in (lambda: cdf_kn(1.5, n, k), lambda: fun_a0(n, k),
+                  lambda: fun_aj(1, 1.5, n, k)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                f()
+
+    def test_bad_key_raises_after_its_twin_is_cached(self):
+        # True == 1 and 10.0 == 10 hash alike, so a check inside the cached
+        # expansion would be skipped here
+        cdf_kn(1.5, 1, 1)
+        cdf_kn(1.5, 10, 5)
+        with pytest.raises(ValueError):
+            cdf_kn(1.5, True, 1)
+        with pytest.raises(ValueError):
+            cdf_kn(1.5, 1, True)
+        with pytest.raises(ValueError):
+            cdf_kn(1.5, 10.0, 5)
+
+    def test_numpy_integers_accepted(self):
+        want = float(cdf_kn(1.5, 10, 5))
+        assert float(cdf_kn(1.5, np.int64(10), 5)) == want
+        assert float(cdf_kn(1.5, 10, np.int32(5))) == want
+        assert fun_aj(2, 1.5, np.int64(10), 5) == fun_aj(2, 1.5, 10, 5)
 
 
 class TestSeriesAccuracy:

@@ -276,3 +276,20 @@ class TestConfigValidation:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             kuiper_pair_solver(0.05, 10, 5, method="bisect")
+
+    @pytest.mark.parametrize("n,k", [(True, 5), (10, True), (10.5, 5), (10.0, 5),
+                                     (10, 5.0), (np.bool_(True), 1)])
+    def test_bad_key(self, n, k):
+        fun_a0(10, 5)
+        fun_a0(1, 1)  # the twins of 10.0 and True, now cached
+        with pytest.raises(ValueError, match="must be an integer"):
+            kuiper_pair_solver(0.05, n, k)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            kuiper_pair_solver(alpha, 10, 5)
+
+    def test_numpy_integers_accepted(self):
+        want = kuiper_pair_solver(0.05, 10, 5)
+        assert kuiper_pair_solver(0.05, np.int64(10), np.int64(5)).c == want.c
