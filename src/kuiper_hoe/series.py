@@ -174,7 +174,7 @@ def b_series(i: int, c: float) -> float:
     B_0 and B_1 reproduce Kuiper's classical limit functions; higher
     orders refine the finite-n CDF.
     """
-    if not isinstance(i, int) or not 0 <= i <= 5:
+    if not _is_integer(i) or not 0 <= i <= 5:
         raise ValueError(f"coefficient index i must be an integer in 0..5, got {i!r}")
     _check_argument(c)
     return _evaluate(_SINGLE_ORDERS[i], c)

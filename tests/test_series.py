@@ -168,6 +168,8 @@ class TestBSeries:
             b_series(0, 0.0)
         with pytest.raises(ValueError):
             b_series(0, -1.0)
+        with pytest.raises(ValueError):
+            b_series(True, 1.0)
 
 
 # --------------------------------------------------------------------------
