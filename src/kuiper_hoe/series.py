@@ -100,8 +100,9 @@ _SINGLE_ORDERS = tuple(_combine([0.0] * i + [1.0]) for i in range(_ORDERS))
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _expansion(n: int, k: int) -> tuple[float, tuple]:
     """The order-k expansion at capacity n, its orders weighted by n^(-i/2)."""
+    n = float(n)  # a NumPy integer n would overflow in n * n
     root = math.sqrt(n)
-    powers = (1, root, n, n * root, n * n, n * n * root)
+    powers = (1.0, root, n, n * root, n * n, n * n * root)
     return _combine([1.0 / p for p in powers[:k + 1]])
 
 
@@ -156,8 +157,6 @@ def _check_capacity(n: int) -> None:
 def _check_key(n: int, k: int) -> None:
     """Validate (n, k) before any _expansion lookup: the cache would take
     True for 1 and 10.0 for 10, since they hash alike."""
-    if type(n) is int and type(k) is int and n >= 1 and 1 <= k <= 5:
-        return  # the common case, without the slower ABC checks below
     _check_capacity(n)
     if not _is_integer(k) or not 1 <= k <= 5:
         raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")
@@ -194,7 +193,7 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     / n^2 for j = 2 at k >= 4, the constant the reference critical-value
     tables were computed with.
     """
-    if j not in (1, 2):
+    if not _is_integer(j) or j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
     _check_argument(c)
     _check_key(n, k)

@@ -2,6 +2,7 @@
 truncated coefficient blocks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,28 @@ class TestMalformedInput:
         assert float(cdf_kn(1.5, np.int64(10), 5)) == want
         assert float(cdf_kn(1.5, 10, np.int32(5))) == want
         assert fun_aj(2, 1.5, np.int64(10), 5) == fun_aj(2, 1.5, 10, 5)
+        assert fun_aj(np.int64(2), 1.5, 10, 5) == fun_aj(2, 1.5, 10, 5)
+
+    @pytest.mark.parametrize("j", [True, False, 1.0, 2.0, np.bool_(True)])
+    def test_bad_exponent_index_raises(self, j):
+        with pytest.raises(ValueError, match="must be 1 or 2"):
+            fun_aj(j, 1.5, 10, 5)
+
+    @pytest.mark.parametrize("n", [4_000_000_000, 2**32])
+    def test_large_numpy_capacity_does_not_overflow(self, n):
+        # n * n exceeds the int64 range here; 2**32 squares to exactly 0.
+        # The NumPy key is looked up first, so an overflowed entry would
+        # also reach the equal-hashing plain int afterwards.
+        from kuiper_hoe.series import _expansion
+        _expansion.cache_clear()
+        want_a0 = -(1.0 - 1.0 / (18.0 * n) + 1.0 / (648.0 * float(n) ** 2))
+        want_cdf = sum(b_oracle(i, 1.5, terms=10) / math.sqrt(n) ** i
+                       for i in range(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for key in (np.int64(n), n):
+                assert fun_a0(key, 5) == pytest.approx(want_a0, rel=1e-15, abs=0)
+                assert cdf_kn(1.5, key, 5).raw == pytest.approx(want_cdf, abs=1e-13)
 
 
 class TestSeriesAccuracy:
