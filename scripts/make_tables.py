@@ -1,28 +1,20 @@
 #!/usr/bin/env python3
 """Regenerate the critical-value tables for all supported levels.
 
-Writes one CSV per significance level (or prints to stdout) with columns
-alpha,n,k,c,v at full float precision.
+Writes one CSV per significance level (or prints to stdout): exactly the
+output of ``kuiper-hoe table --alpha ALPHA --format csv``, with columns
+alpha,n,k,c,v at full float precision and empty c, v cells where order k
+cannot reach the level.
 """
 
 import argparse
-import csv
+import contextlib
 import sys
 from pathlib import Path
 
-from kuiper_hoe import kuiper_pair_solver
+from kuiper_hoe import cli
 
 ALPHAS = (0.01, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40)
-N_GRID = (6, 7, 8, 9, 10, 20, 30, 40, 50, 100, 10**6)
-
-
-def emit(alpha, n_grid, k_grid, out):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["alpha", "n", "k", "c", "v"])
-    for n in n_grid:
-        for k in k_grid:
-            pair = kuiper_pair_solver(alpha, n, k)
-            writer.writerow([repr(alpha), n, k, repr(pair.c), repr(pair.v)])
 
 
 def main():
@@ -36,15 +28,20 @@ def main():
 
     alphas = (args.alpha,) if args.alpha is not None else ALPHAS
     for alpha in alphas:
+        argv = ["table", "--alpha", repr(alpha), "--format", "csv"]
         if args.out_dir is None:
-            emit(alpha, N_GRID, range(1, 6), sys.stdout)
+            code = cli.main(argv)
         else:
             path = Path(args.out_dir) / f"pair_table_{alpha:g}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                emit(alpha, N_GRID, range(1, 6), fh)
+            with open(path, "w", encoding="utf-8") as fh, \
+                    contextlib.redirect_stdout(fh):
+                code = cli.main(argv)
             print(f"wrote {path}")
+        if code != cli.EXIT_OK:
+            return code
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

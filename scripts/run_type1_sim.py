@@ -3,13 +3,16 @@
 
 Reproduces the rejection-rate experiment at a chosen replication count:
 standard-normal null, t/n plotting positions, orders 1..5 plus the KS and
-modified-statistic comparators.
+modified-statistic comparators.  Each capacity runs
+``kuiper-hoe simulate --format csv``; the rows share one header.
 """
 
 import argparse
+import contextlib
+import io
 import sys
 
-from kuiper_hoe import EdfScheme, SimConfig, simulate_type1
+from kuiper_hoe import cli
 
 N_GRID = (6, 7, 8, 9, 10, 20, 30, 40, 50, 100, 180)
 
@@ -26,19 +29,23 @@ def main():
     parser.add_argument("--no-comparators", action="store_true")
     args = parser.parse_args()
 
-    comparators = () if args.no_comparators else ("ks", "stephens")
+    comparators = "" if args.no_comparators else "ks,stephens"
     first = True
     for n in (int(s) for s in args.n.split(",") if s.strip()):
-        cfg = SimConfig(n=n, alpha=args.alpha, k_set=(1, 2, 3, 4, 5),
-                        n_rep=args.nrep, seed=args.seed,
-                        scheme=EdfScheme.SCHEME0, comparators=comparators,
-                        workers=args.workers)
-        csv_text = simulate_type1(cfg).to_csv()
-        if not first:
-            csv_text = csv_text.split("\n", 1)[1]
-        sys.stdout.write(csv_text)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["simulate", "--n", str(n), "--alpha", repr(args.alpha),
+                             "--k", "1,2,3,4,5", "--nrep", str(args.nrep),
+                             "--seed", str(args.seed), "--scheme", "scheme0",
+                             "--comparators", comparators,
+                             "--workers", str(args.workers), "--format", "csv"])
+        if code != cli.EXIT_OK:
+            return code
+        csv_text = buf.getvalue()
+        sys.stdout.write(csv_text if first else csv_text.split("\n", 1)[1])
         first = False
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

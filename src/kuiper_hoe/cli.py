@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import math
 import os
@@ -21,8 +21,8 @@ import numpy as np
 from .gof import EdfScheme, SampleSet, kuiper_test
 from .montecarlo import SimConfig, normal_cdf, simulate_type1
 from .series import cdf_vn, utp
-from .solver import (ConvergenceError, kuiper_inv_cdf, kuiper_ltq,
-                     kuiper_pair_solver, kuiper_utq)
+from .solver import (ConvergenceError, FixedPointDomainError, kuiper_inv_cdf,
+                     kuiper_ltq, kuiper_pair_solver, kuiper_utq)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -32,25 +32,33 @@ EXIT_NOCONV = 3
 DEFAULT_TABLE_N = "6,7,8,9,10,20,30,40,50,100,1000000"
 
 
-def _fmt(x: float, precision: int) -> str:
-    return f"{x:.{precision}f}"
+def _emit(args, rows: list, payload=None, text: str | None = None) -> None:
+    """Print a command's records in the format ``args.format`` names.
 
-
-def _print_kv(pairs, fmt: str, precision: int) -> None:
-    """Render a flat record as aligned text, one CSV row, or JSON."""
-    if fmt == "json":
-        print(json.dumps({k: v for k, v in pairs}, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([k for k, _ in pairs])
-        writer.writerow([repr(v) if isinstance(v, float) else v for _, v in pairs])
-        print(buf.getvalue(), end="")
+    ``rows`` are dicts sharing one key order.  csv: the keys as header, one
+    line per row, floats by repr and None as an empty cell.  json:
+    ``payload``, or else the single row.  table: ``text``, or else the
+    single row as aligned ``key  value`` lines rounded to --precision.
+    """
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([repr(v) if isinstance(v, float) else v
+                          for v in row.values()] for row in rows)
+    elif args.format == "json":
+        print(json.dumps(rows[0] if payload is None else payload, indent=2))
+    elif text is not None:
+        print(text)
     else:
-        width = max(len(k) for k, _ in pairs)
-        for k, v in pairs:
-            shown = _fmt(v, precision) if isinstance(v, float) else v
-            print(f"{k:<{width}}  {shown}")
+        width = max(map(len, rows[0]))
+        for key, value in rows[0].items():
+            if isinstance(value, float):
+                value = f"{value:.{args.precision}f}"
+            print(f"{key:<{width}}  {value}")
+
+
+def _pair_text(c: float, v: float, precision: int) -> str:
+    return f"({c:.{precision}f}, {v:.{precision}f})"
 
 
 def _parse_int_list(text: str, flag: str) -> list:
@@ -169,24 +177,16 @@ def read_sample_file(path: str, csv_column: str | None = None) -> list:
 
 def cmd_pair(args) -> int:
     pair = kuiper_pair_solver(args.alpha, args.n, args.k, args.method)
-    if args.format == "table":
-        p = args.precision
-        print(f"({pair.c:.{p}f}, {pair.v:.{p}f})")
-    else:
-        _print_kv([("alpha", pair.alpha), ("n", pair.n), ("k", pair.k),
-                   ("method", args.method), ("c", pair.c), ("v", pair.v),
-                   ("iterations", pair.iterations), ("residual", pair.residual)],
-                  args.format, args.precision)
+    row = {"alpha": pair.alpha, "n": pair.n, "k": pair.k, "method": args.method,
+           "c": pair.c, "v": pair.v, "iterations": pair.iterations,
+           "residual": pair.residual}
+    _emit(args, [row], text=_pair_text(pair.c, pair.v, args.precision))
     return EXIT_OK
 
 
 def _cmd_quantile(args, value: float, label: str) -> int:
-    if args.format == "table":
-        print(_fmt(value, args.precision))
-    else:
-        _print_kv([("alpha" if label != "x" else "x", getattr(args, label)),
-                   ("n", args.n), ("k", args.k), ("v", value)],
-                  args.format, args.precision)
+    row = {label: getattr(args, label), "n": args.n, "k": args.k, "v": value}
+    _emit(args, [row], text=f"{value:.{args.precision}f}")
     return EXIT_OK
 
 
@@ -212,11 +212,10 @@ def cmd_cdf(args) -> int:
         c = args.c
         p = cdf_vn(args.c / math.sqrt(args.n), args.n, args.k)
     tail = utp(c, args.n, args.k)
-    pairs = [("n", args.n), ("k", args.k), ("c", c), ("cdf", float(p)),
-             ("utp", float(tail))]
+    row = {"n": args.n, "k": args.k, "c": c, "cdf": float(p), "utp": float(tail)}
     if p.warning:
-        pairs.append(("warning", p.warning))
-    _print_kv(pairs, args.format, args.precision)
+        row["warning"] = p.warning
+    _emit(args, [row])
     return EXIT_OK
 
 
@@ -226,58 +225,38 @@ def cmd_test(args) -> int:
     sample = SampleSet(tuple(values))
     scheme = EdfScheme.from_string(args.scheme)
     result = kuiper_test(sample, cdf, alpha=args.alpha, k=args.k, scheme=scheme)
-    decision = "reject" if result.reject else "accept"
-    pairs = [("n", sample.n), ("d_plus", result.d_plus),
-             ("d_minus", result.d_minus), ("v_n", result.v_n),
-             ("v_critical", result.v_critical),
-             ("p_value", float(result.p_value)), ("alpha", result.alpha),
-             ("k", result.k), ("scheme", scheme.value), ("decision", decision)]
-    _print_kv(pairs, args.format, args.precision)
+    row = {"n": sample.n, "d_plus": result.d_plus, "d_minus": result.d_minus,
+           "v_n": result.v_n, "v_critical": result.v_critical,
+           "p_value": float(result.p_value), "alpha": result.alpha,
+           "k": result.k, "scheme": scheme.value,
+           "decision": "reject" if result.reject else "accept"}
+    _emit(args, [row])
     return EXIT_REJECT if result.reject else EXIT_OK
 
 
 def cmd_table(args) -> int:
     n_list = _parse_int_list(args.n, "--n")
     k_list = _parse_int_list(args.k, "--k")
-    cells = {}
+    width = 2 * args.precision + 10
+    lines = [f"alpha = {args.alpha}",
+             f"{'n':>9}" + "".join(f"{'k=' + str(k):>{width}}" for k in k_list)]
+    cells = []
     for n in n_list:
+        line = f"{n:>9}"
         for k in k_list:
             try:
                 pair = kuiper_pair_solver(args.alpha, n, k, args.method)
-                cells[n, k] = (pair.c, pair.v)
-            except (ValueError, ConvergenceError):
-                cells[n, k] = None
-    p = args.precision
-    if args.format == "table":
-        width = 2 * p + 10
-        head = "".join(f"{'k=' + str(k):>{width}}" for k in k_list)
-        print(f"alpha = {args.alpha}")
-        print(f"{'n':>9}{head}")
-        for n in n_list:
-            row = ""
-            for k in k_list:
-                cell = cells[n, k]
-                row += (f"{'x':>{width}}" if cell is None else
-                        f"{f'({cell[0]:.{p}f}, {cell[1]:.{p}f})':>{width}}")
-            print(f"{n:>9}{row}")
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "n", "k", "c", "v"])
-        for n in n_list:
-            for k in k_list:
-                cell = cells[n, k]
-                writer.writerow([repr(args.alpha), n, k] +
-                                (["", ""] if cell is None
-                                 else [repr(cell[0]), repr(cell[1])]))
-        print(buf.getvalue(), end="")
-    else:
-        payload = {"alpha": args.alpha,
-                   "cells": [{"n": n, "k": k,
-                              "c": None if cells[n, k] is None else cells[n, k][0],
-                              "v": None if cells[n, k] is None else cells[n, k][1]}
-                             for n in n_list for k in k_list]}
-        print(json.dumps(payload, indent=2))
+            except (FixedPointDomainError, ConvergenceError):
+                c = v = None
+                shown = "x"
+            else:
+                c, v = pair.c, pair.v
+                shown = _pair_text(c, v, args.precision)
+            cells.append({"n": n, "k": k, "c": c, "v": v})
+            line += f"{shown:>{width}}"
+        lines.append(line)
+    _emit(args, [{"alpha": args.alpha, **cell} for cell in cells],
+          payload={"alpha": args.alpha, "cells": cells}, text="\n".join(lines))
     return EXIT_OK
 
 
@@ -292,21 +271,30 @@ def cmd_simulate(args) -> int:
                     scheme=EdfScheme.from_string(args.scheme),
                     comparators=comparators, workers=args.workers)
     result = simulate_type1(cfg)
-    if args.format == "csv":
-        print(result.to_csv(), end="")
-    elif args.format == "json":
-        print(result.to_json())
-    else:
-        p = args.precision
-        print(f"n={cfg.n} alpha={cfg.alpha} n_rep={cfg.n_rep} seed={cfg.seed} "
-              f"scheme={cfg.scheme.value}")
-        for method, rate in result.p_type1.items():
-            ci = result.ci_halfwidth[method]
-            print(f"  {method:<10} p_type1={rate:.{p}f}  ci95=+/-{ci:.{p}f}")
+    p = args.precision
+    rows, results = [], []
+    lines = [f"n={cfg.n} alpha={cfg.alpha} n_rep={cfg.n_rep} seed={cfg.seed} "
+             f"scheme={cfg.scheme.value}"]
+    for method, rate in result.p_type1.items():
+        k = int(method.removeprefix("hoe_k")) if method.startswith("hoe_k") else None
+        ci = result.ci_halfwidth[method]
+        rows.append({"method": method, "n": cfg.n, "alpha": cfg.alpha, "k": k,
+                     "n_rep": cfg.n_rep, "p_type1": rate, "ci_halfwidth": ci,
+                     "seed": cfg.seed})
+        results.append({"method": method, "k": k,
+                        "rejections": result.rejections[method],
+                        "p_type1": rate, "ci_halfwidth": ci})
+        lines.append(f"  {method:<10} p_type1={rate:.{p}f}  ci95=+/-{ci:.{p}f}")
+    payload = {"n": cfg.n, "alpha": cfg.alpha, "n_rep": cfg.n_rep,
+               "seed": cfg.seed, "scheme": cfg.scheme.value,
+               "results": results, "metadata": result.metadata}
+    _emit(args, rows, payload=payload, text="\n".join(lines))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, on first use."""
     parser = argparse.ArgumentParser(
         prog="kuiper-hoe",
         description="Kuiper V_n statistic: quantiles, tables, tests, simulations")

@@ -19,9 +19,6 @@ but changes nothing: all blocks run in the calling thread.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -103,10 +100,6 @@ class SimConfig:
                                  f"expected subset of {KNOWN_COMPARATORS}")
 
 
-CSV_HEADER = ("method", "n", "alpha", "k", "n_rep", "p_type1",
-              "ci_halfwidth", "seed")
-
-
 @dataclass(frozen=True)
 class SimResult:
     """Per-method rejection rates with binomial 95% half-widths."""
@@ -125,41 +118,6 @@ class SimResult:
         object.__setattr__(self, "p_type1", p)
         object.__setattr__(self, "ci_halfwidth", ci)
         object.__setattr__(self, "n_rep", n_rep)
-
-    def _rows(self):
-        cfg = self.config
-        for method in self.p_type1:
-            k = method.removeprefix("hoe_k") if method.startswith("hoe_k") else ""
-            yield (method, cfg.n, repr(cfg.alpha), k, cfg.n_rep,
-                   repr(self.p_type1[method]), repr(self.ci_halfwidth[method]),
-                   cfg.seed)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(self._rows())
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        cfg = self.config
-        payload = {
-            "n": cfg.n,
-            "alpha": cfg.alpha,
-            "n_rep": cfg.n_rep,
-            "seed": cfg.seed,
-            "scheme": cfg.scheme.value,
-            "results": [
-                {"method": m, "k": int(m.removeprefix("hoe_k"))
-                 if m.startswith("hoe_k") else None,
-                 "rejections": self.rejections[m],
-                 "p_type1": self.p_type1[m],
-                 "ci_halfwidth": self.ci_halfwidth[m]}
-                for m in self.p_type1
-            ],
-            "metadata": self.metadata,
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _method_metadata(cfg: SimConfig) -> dict:

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from kuiper_hoe.cli import main
-from kuiper_hoe.montecarlo import normal_ppf
+from kuiper_hoe.montecarlo import SimConfig, normal_ppf, simulate_type1
 
 
 def run_cli(capsys, *argv):
@@ -99,9 +99,17 @@ class TestTable:
         assert code == 0
         assert "(1.1581, 0.4728)" in out
 
-    def test_empty_n_list_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--alpha", "0.10", "--n", "")
+    @pytest.mark.parametrize("argv, message", [
+        (("--alpha", "0.10", "--n", ""), "--n needs at least one value"),
+        (("--alpha", "0.10", "--n", "0,10"), "sample capacity n"),
+        (("--alpha", "0.10", "--k", "7"), "expansion order k"),
+        (("--alpha", "nan"), "alpha must be in (0, 1)"),
+    ], ids=["empty-n", "zero-n", "k-7", "alpha-nan"])
+    def test_malformed_input_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "table", *argv, "--format", "csv")
         assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_csv_grid_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--alpha", "0.10",
@@ -225,6 +233,69 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
                                "--nrep", "50", "--seed", "1", "--format", "csv")
         assert list(csv.DictReader(io.StringIO(out)))[0]["seed"] == "1"
+
+    def test_csv_round_trip(self, capsys):
+        cfg = SimConfig(n=10, k_set=(1, 5), n_rep=300, seed=5,
+                        comparators=("ks",))
+        r = simulate_type1(cfg)
+        code, out, _ = run_cli(capsys, "simulate", "--n", "10", "--k", "1,5",
+                               "--nrep", "300", "--seed", "5",
+                               "--comparators", "ks", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["method"] for row in rows] == ["hoe_k1", "hoe_k5", "ks"]
+        for row in rows:
+            method = row["method"]
+            assert float(row["p_type1"]) == r.p_type1[method]
+            assert float(row["ci_halfwidth"]) == r.ci_halfwidth[method]
+            assert int(row["n_rep"]) == 300
+            assert int(row["seed"]) == 5
+            assert float(row["alpha"]) == cfg.alpha
+        assert rows[0]["k"] == "1" and rows[1]["k"] == "5" and rows[2]["k"] == ""
+
+    def test_json_round_trip(self, capsys):
+        cfg = SimConfig(n=6, k_set=(2,), n_rep=200, seed=8,
+                        comparators=("stephens",))
+        r = simulate_type1(cfg)
+        code, out, _ = run_cli(capsys, "simulate", "--n", "6", "--k", "2",
+                               "--nrep", "200", "--seed", "8",
+                               "--comparators", "stephens", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == 6
+        assert payload["seed"] == 8
+        by_method = {entry["method"]: entry for entry in payload["results"]}
+        assert by_method["hoe_k2"]["p_type1"] == r.p_type1["hoe_k2"]
+        assert by_method["stephens"]["k"] is None
+        assert "stephens" in payload["metadata"]
+
+    def test_json_metadata_names_the_substreams(self, capsys):
+        r = simulate_type1(SimConfig(n=6, k_set=(1,), n_rep=20, seed=8))
+        code, out, _ = run_cli(capsys, "simulate", "--n", "6", "--k", "1",
+                               "--nrep", "20", "--seed", "8", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metadata"]["substreams"] == (
+            "SeedSequence(seed, spawn_key=(block,)), "
+            "1024 replications per block")
+        assert payload["metadata"] == r.metadata
+
+
+# The CSV headers the README lists as fixed contracts.
+@pytest.mark.parametrize("argv, header", [
+    (("pair", "--alpha", "0.05", "--n", "10"),
+     "alpha,n,k,method,c,v,iterations,residual"),
+    (("utq", "--alpha", "0.05", "--n", "10"), "alpha,n,k,v"),
+    (("ltq", "--alpha", "0.95", "--n", "10"), "alpha,n,k,v"),
+    (("invcdf", "--x", "0.95", "--n", "10"), "x,n,k,v"),
+    (("table", "--alpha", "0.05", "--n", "10", "--k", "1"), "alpha,n,k,c,v"),
+    (("simulate", "--n", "10", "--k", "1", "--nrep", "20"),
+     "method,n,alpha,k,n_rep,p_type1,ci_halfwidth,seed"),
+], ids=["pair", "utq", "ltq", "invcdf", "table", "simulate"])
+def test_csv_header_contract(capsys, argv, header):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.split("\n", 1)[0] == header
 
 
 class TestUsage:

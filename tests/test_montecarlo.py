@@ -1,8 +1,5 @@
-"""Tests for the Type-I-error simulator and its serialization."""
+"""Tests for the Type-I-error simulator."""
 
-import csv
-import io
-import json
 import math
 
 import numpy as np
@@ -156,41 +153,6 @@ class TestBlockLayout:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self):
-        cfg = SimConfig(n=10, k_set=(1, 5), n_rep=300, seed=5,
-                        comparators=("ks",))
-        r = simulate_type1(cfg)
-        rows = list(csv.DictReader(io.StringIO(r.to_csv())))
-        assert [row["method"] for row in rows] == ["hoe_k1", "hoe_k5", "ks"]
-        for row in rows:
-            method = row["method"]
-            assert float(row["p_type1"]) == r.p_type1[method]
-            assert float(row["ci_halfwidth"]) == r.ci_halfwidth[method]
-            assert int(row["n_rep"]) == 300
-            assert int(row["seed"]) == 5
-            assert float(row["alpha"]) == cfg.alpha
-        assert rows[0]["k"] == "1" and rows[1]["k"] == "5" and rows[2]["k"] == ""
-
-    def test_json_round_trip(self):
-        cfg = SimConfig(n=6, k_set=(2,), n_rep=200, seed=8,
-                        comparators=("stephens",))
-        r = simulate_type1(cfg)
-        payload = json.loads(r.to_json())
-        assert payload["n"] == 6
-        assert payload["seed"] == 8
-        by_method = {entry["method"]: entry for entry in payload["results"]}
-        assert by_method["hoe_k2"]["p_type1"] == r.p_type1["hoe_k2"]
-        assert by_method["stephens"]["k"] is None
-        assert "stephens" in payload["metadata"]
-
-    def test_json_metadata_names_the_substreams(self):
-        r = simulate_type1(SimConfig(n=6, k_set=(1,), n_rep=20, seed=8))
-        payload = json.loads(r.to_json())
-        assert payload["metadata"]["substreams"] == (
-            "SeedSequence(seed, spawn_key=(block,)), "
-            "1024 replications per block")
-        assert payload["metadata"] == r.metadata
-
     def test_ci_halfwidth_formula(self):
         r = simulate_type1(SimConfig(n=10, k_set=(1,), n_rep=500, seed=13))
         p = r.p_type1["hoe_k1"]
