@@ -9,6 +9,7 @@ cannot reach the level.
 
 import argparse
 import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -28,18 +29,18 @@ def main():
 
     alphas = (args.alpha,) if args.alpha is not None else ALPHAS
     for alpha in alphas:
-        argv = ["table", "--alpha", repr(alpha), "--format", "csv"]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["table", "--alpha", repr(alpha), "--format", "csv"])
+        if code != cli.EXIT_OK:
+            return code
         if args.out_dir is None:
-            code = cli.main(argv)
+            sys.stdout.write(buf.getvalue())
         else:
             path = Path(args.out_dir) / f"pair_table_{alpha:g}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh, \
-                    contextlib.redirect_stdout(fh):
-                code = cli.main(argv)
+            path.write_text(buf.getvalue(), encoding="utf-8")
             print(f"wrote {path}")
-        if code != cli.EXIT_OK:
-            return code
     return cli.EXIT_OK
 
 
