@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Bit-identity sweep of the solver and the series.
+
+    PYTHONPATH=src python scripts/solver_sweep.py
+
+Solves every cell of both methods x 310 alphas (log-spaced in
+[5e-4, 0.9995]) x 19 capacities x k = 1..5, 58,900 solves, and evaluates
+``utp(truncated=True)`` and ``cdf_kn`` at 400 points of c in [0.3, 3.5]
+for n in {6, 10, 50, 1000} x k = 1..5.  Prints the outcome counts and a
+sha256 per part.  A solved pair feeds ``c.hex()``, its iteration count and
+``residual.hex()`` into the solver digest, a failed one its exception type,
+``argument`` and ``steps``; each series value feeds ``raw.hex()``.  Two
+revisions that print the same lines give the same numbers on this grid.
+"""
+
+import collections
+import hashlib
+import math
+import warnings
+
+import numpy as np
+
+from kuiper_hoe.series import cdf_kn, utp
+from kuiper_hoe.solver import kuiper_pair_solver
+
+METHODS = ("newton", "direct")
+ALPHAS = np.exp(np.linspace(math.log(5e-4), math.log(0.9995), 310))
+CAPACITIES = (*range(1, 11), 12, 15, 20, 30, 50, 100, 10**3, 10**4, 10**6)
+ORDERS = range(1, 6)
+SERIES_C = np.linspace(0.3, 3.5, 400)
+SERIES_CAPACITIES = (6, 10, 50, 1000)
+
+
+def solver_part() -> tuple[collections.Counter, str]:
+    counts = collections.Counter()
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for method in METHODS:
+            for alpha in ALPHAS.tolist():
+                for n in CAPACITIES:
+                    for k in ORDERS:
+                        try:
+                            pair = kuiper_pair_solver(alpha, n, k, method)
+                        except Exception as exc:
+                            name = type(exc).__name__
+                            record = (f"{name} {getattr(exc, 'argument', None)} "
+                                      f"{getattr(exc, 'steps', None)}")
+                        else:
+                            name = "ok"
+                            record = (f"{pair.c.hex()} {pair.iterations} "
+                                      f"{pair.residual.hex()}")
+                        counts[name] += 1
+                        digest.update(record.encode() + b"\n")
+    return counts, digest.hexdigest()
+
+
+def series_part() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    values = 0
+    for n in SERIES_CAPACITIES:
+        for k in ORDERS:
+            for c in SERIES_C.tolist():
+                for p in (utp(c, n, k, truncated=True), cdf_kn(c, n, k)):
+                    digest.update(p.raw.hex().encode() + b"\n")
+                    values += 1
+    return values, digest.hexdigest()
+
+
+def main() -> None:
+    counts, solver_digest = solver_part()
+    print(f"solver {sum(counts.values())} solves: "
+          + ", ".join(f"{name} {count}" for name, count in counts.most_common())
+          + f"; sha256 {solver_digest}")
+    values, series_digest = series_part()
+    print(f"series {values} values; sha256 {series_digest}")
+
+
+if __name__ == "__main__":
+    main()

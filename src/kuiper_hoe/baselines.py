@@ -106,8 +106,8 @@ def stephens_cdf_small_v(v: float, n: int) -> Probability:
 
 def modified_statistic(v_n: float, n: int) -> ModifiedStatistic:
     """Stephens' modified statistic for a computed V_n."""
-    if v_n < 0.0:
-        raise ValueError(f"v_n must be nonnegative, got {v_n}")
+    if not 0.0 <= v_n < math.inf:
+        raise ValueError(f"v_n must be nonnegative and finite, got {v_n}")
     _check_capacity(n)
     sqrt_n = math.sqrt(n)
     return ModifiedStatistic(t_n=v_n * (sqrt_n + 0.155 + 0.24 / sqrt_n), n=n)
@@ -160,8 +160,8 @@ def ks_utp_asymptotic(d, n: int):
     """
     if isinstance(d, np.ndarray):
         return _ks_utp_array(d, n)
-    if d < 0.0:
-        raise ValueError(f"statistic d must be nonnegative, got {d}")
+    if not 0.0 <= d < math.inf:
+        raise ValueError(f"statistic d must be nonnegative and finite, got {d}")
     _check_capacity(n)
     rate = 2.0 * n * d * d
     if rate < _KS_FLAT_RATE:
@@ -181,8 +181,10 @@ def ks_utp_asymptotic(d, n: int):
 
 def _ks_utp_array(d: np.ndarray, n: int) -> np.ndarray:
     d = np.asarray(d, dtype=float)
-    if (d < 0.0).any():
-        raise ValueError(f"statistic d must be nonnegative, got {d.min()}")
+    bad = ~((d >= 0.0) & (d < math.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"statistic d must be nonnegative and finite, "
+                         f"got {d[bad][0]}")
     _check_capacity(n)
     rate = 2.0 * n * d * d
     live = rate >= _KS_FLAT_RATE

@@ -20,7 +20,7 @@ import numpy as np
 
 from .gof import EdfScheme, SampleSet, kuiper_test
 from .montecarlo import SimConfig, normal_cdf, simulate_type1
-from .series import cdf_vn, utp
+from .series import _check_capacity, cdf_vn, utp
 from .solver import (ConvergenceError, FixedPointDomainError, kuiper_inv_cdf,
                      kuiper_ltq, kuiper_pair_solver, kuiper_utq)
 
@@ -205,6 +205,7 @@ def cmd_invcdf(args) -> int:
 def cmd_cdf(args) -> int:
     if (args.v is None) == (args.c is None):
         raise ValueError("give exactly one of --v or --c")
+    _check_capacity(args.n)  # before the sqrt(n) of either branch
     if args.v is not None:
         p = cdf_vn(args.v, args.n, args.k)
         c = args.v * math.sqrt(args.n)

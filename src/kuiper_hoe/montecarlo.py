@@ -27,6 +27,7 @@ import numpy as np
 
 from .baselines import ks_utp_asymptotic, modified_quantile
 from .gof import EdfScheme, vn_from_probs
+from .series import _is_integer
 from .solver import kuiper_utq
 
 __all__ = [
@@ -90,8 +91,8 @@ class SimConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.n_rep < 1:
-            raise ValueError(f"n_rep must be >= 1, got {self.n_rep}")
+        if not _is_integer(self.n_rep) or self.n_rep < 1:
+            raise ValueError(f"n_rep must be an integer >= 1, got {self.n_rep!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         for name in self.comparators:

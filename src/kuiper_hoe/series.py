@@ -22,7 +22,7 @@ truncated at the fixed ``J_MAX = 10``; the terms beyond it add less than
 is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
 exception: the published critical-value tables were computed with a
 k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
-series value, and ``fun_aj`` keeps it so that it reproduces those tables.
+series value, and ``_tail_form`` keeps it so that it reproduces those tables.
 """
 
 from __future__ import annotations
@@ -97,9 +97,30 @@ def _combine(weights: list[float]) -> tuple[float, tuple]:
 _SINGLE_ORDERS = tuple(_combine([0.0] * i + [1.0]) for i in range(_ORDERS))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _is_integer(x) -> bool:
+    """int or a NumPy integer, but not bool."""
+    return type(x) is int or (isinstance(x, numbers.Integral)
+                              and not isinstance(x, bool))
+
+
+def _check_capacity(n: int) -> None:
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"sample capacity n must be an integer >= 1, got {n!r}")
+
+
+def _check_argument(c: float) -> None:
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"statistic argument c must be positive and finite, got {c}")
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _expansion(n: int, k: int) -> tuple[float, tuple]:
-    """The order-k expansion at capacity n, its orders weighted by n^(-i/2)."""
+    """The order-k expansion at capacity n, its orders weighted by n^(-i/2),
+    after checking (n, k) on a cache miss; typed=True keeps True, 10.0 and
+    np.float64(10.0) out of the entries of 1 and 10, which they hash alike."""
+    _check_capacity(n)
+    if not _is_integer(k) or not 1 <= k <= 5:
+        raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")
     n = float(n)  # a NumPy integer n would overflow in n * n
     root = math.sqrt(n)
     powers = (1.0, root, n, n * root, n * n, n * n * root)
@@ -143,30 +164,6 @@ class Probability(float):
         return self
 
 
-def _is_integer(x) -> bool:
-    """int or a NumPy integer, but not bool."""
-    return type(x) is int or (isinstance(x, numbers.Integral)
-                              and not isinstance(x, bool))
-
-
-def _check_capacity(n: int) -> None:
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"sample capacity n must be an integer >= 1, got {n!r}")
-
-
-def _check_key(n: int, k: int) -> None:
-    """Validate (n, k) before any _expansion lookup: the cache would take
-    True for 1 and 10.0 for 10, since they hash alike."""
-    _check_capacity(n)
-    if not _is_integer(k) or not 1 <= k <= 5:
-        raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")
-
-
-def _check_argument(c: float) -> None:
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"statistic argument c must be positive and finite, got {c}")
-
-
 def b_series(i: int, c: float) -> float:
     """Coefficient function B_i(c), inner sum truncated at J_MAX.
 
@@ -179,10 +176,18 @@ def b_series(i: int, c: float) -> float:
     return _evaluate(_SINGLE_ORDERS[i], c)
 
 
+def _tail_form(c: float, n: int, k: int) -> tuple[float, float, float]:
+    """(A_0, A_1(c), A_2(c)) of the two-exponential tail form, c unchecked."""
+    const, rows = _expansion(n, k)
+    a2 = -_horner(rows[1][1], c)
+    if k >= 4:
+        a2 += _A2_TABLE_SHIFT / float(n) ** 2
+    return -const, -_horner(rows[0][1], c), a2
+
+
 def fun_a0(n: int, k: int) -> float:
     """Constant coefficient A_0(n, k) = -sum_{i<=k} C_i / n^(i/2) of the
     two-exponential tail form."""
-    _check_key(n, k)
     return -_expansion(n, k)[0]
 
 
@@ -196,11 +201,7 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     if not _is_integer(j) or j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
     _check_argument(c)
-    _check_key(n, k)
-    a = -_horner(_expansion(n, k)[1][j - 1][1], c)
-    if j == 2 and k >= 4:
-        a += _A2_TABLE_SHIFT / float(n) ** 2
-    return a
+    return _tail_form(c, n, k)[j]
 
 
 def _floor_warning(c: float) -> str | None:
@@ -218,12 +219,12 @@ def cdf_kn(c: float, n: int, k: int) -> Probability:
     order-n^{-1} constant of the expansion itself.
     """
     _check_argument(c)
-    _check_key(n, k)
     return Probability(_evaluate(_expansion(n, k), c), warning=_floor_warning(c))
 
 
 def cdf_vn(v: float, n: int, k: int) -> Probability:
     """CDF Pr{V_n <= v}, evaluated as cdf_kn(v*sqrt(n), n, k)."""
+    _check_capacity(n)
     return cdf_kn(v * math.sqrt(n), n, k)
 
 
@@ -234,12 +235,11 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     [1 + A_0] + A_1 e^{-2c^2} + A_2 e^{-8c^2} is evaluated instead of the
     full series; useful for cross-checking solver residuals.
     """
+    _check_argument(c)
     if truncated:
-        a0 = fun_a0(n, k)
-        a1 = fun_aj(1, c, n, k)
-        a2 = fun_aj(2, c, n, k)
+        a0, a1, a2 = _tail_form(c, n, k)
         c2 = c * c
         raw = (1.0 + a0) + a1 * math.exp(-2.0 * c2) + a2 * math.exp(-8.0 * c2)
-        return Probability(raw, warning=_floor_warning(c))
-    full = cdf_kn(c, n, k)
-    return Probability(1.0 - full.raw, warning=full.warning)
+    else:
+        raw = 1.0 - _evaluate(_expansion(n, k), c)
+    return Probability(raw, warning=_floor_warning(c))

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .series import _check_key, fun_a0, fun_aj
+from .series import _check_argument, _tail_form, fun_a0
 
 __all__ = [
     "KuiperPair",
@@ -86,9 +86,8 @@ class KuiperPair:
     residual: float
 
 
-def _alpha_gap(alpha: float, n: int, k: int) -> float:
+def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:
     """alpha - 1 - A_0, the positive constant part of the tail equation."""
-    a0 = fun_a0(n, k)
     gap = alpha - 1.0 - a0
     if gap <= 0.0:
         raise FixedPointDomainError(
@@ -99,11 +98,13 @@ def _alpha_gap(alpha: float, n: int, k: int) -> float:
 
 def _log_arguments(c: float, alpha: float, n: int, k: int) -> tuple[float, float]:
     """The two positive quantities whose logs enter the tail equation."""
-    gap = _alpha_gap(alpha, n, k)
+    a0, a1, a2 = _tail_form(c, n, k)
+    gap = _alpha_gap(alpha, a0, n, k)
     if c <= 0.0:
         raise FixedPointDomainError(
             f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
-    tail = fun_aj(1, c, n, k) + fun_aj(2, c, n, k) * math.exp(-6.0 * c * c)
+    _check_argument(c)  # a NaN iterate must not come back as a solved pair
+    tail = a1 + a2 * math.exp(-6.0 * c * c)
     if tail <= 0.0:
         raise FixedPointDomainError(
             f"A1 + A2*exp(-6c^2) = {tail:.4g} <= 0 at c={c:.6g}: iterate left "
@@ -203,8 +204,7 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
         raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _check_key(n, k)
-    _alpha_gap(alpha, n, k)
+    _alpha_gap(alpha, fun_a0(n, k), n, k)
 
     if method == "direct":
         def step(c):

@@ -126,6 +126,11 @@ class TestModifiedStatistic:
         with pytest.raises(ValueError):
             modified_statistic(-0.1, 4)
 
+    @pytest.mark.parametrize("v_n", [math.nan, math.inf])
+    def test_non_finite_rejected(self, v_n):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            modified_statistic(v_n, 4)
+
 
 class TestModifiedQuantile:
     # The tabulated large-n order-1 entries still carry the 1/sqrt(n)
@@ -196,9 +201,19 @@ class TestKsTail:
             want = [float(ks_utp_asymptotic(float(x), n)) for x in d]
             assert np.abs(got - want).max() <= 1e-14
 
-    def test_array_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ks_utp_asymptotic(np.array([0.1, -0.1]), 10)
+    @pytest.mark.parametrize("d", [-0.1, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_array_rejects_negative(self, d):
+        # a NaN must not come back as a tail of 0.0
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            ks_utp_asymptotic(np.array([0.1, d]), 10)
+
+    @pytest.mark.parametrize("d", [-0.1, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_scalar_rejects_negative(self, d):
+        # a NaN would never meet the stop test of the alternating sum
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            ks_utp_asymptotic(d, 10)
 
     @staticmethod
     def dual_form(rate):

@@ -91,6 +91,19 @@ class TestCdfCommand:
                              "--n", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("--v", "0.5", "--n", "0"),
+                                      ("--v", "0.5", "--n", "-3"),
+                                      ("--c", "1.5", "--n", "0"),
+                                      ("--c", "1.5", "--n", "-3")],
+                             ids=["v-zero-n", "v-negative-n", "c-zero-n",
+                                  "c-negative-n"])
+    def test_bad_capacity_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "cdf", *argv, "--k", "1")
+        assert code == 2
+        assert out == ""
+        n = argv[-1]
+        assert err == f"error: sample capacity n must be an integer >= 1, got {n}\n"
+
 
 class TestTable:
     def test_single_cell(self, capsys):

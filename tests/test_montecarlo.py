@@ -151,6 +151,17 @@ class TestBlockLayout:
         with pytest.raises(ValueError):
             SimConfig(n=10, workers=0)
 
+    @pytest.mark.parametrize("n_rep", [True, 2.5, 10.0, 0, np.bool_(True)])
+    def test_n_rep_must_be_a_positive_integer(self, n_rep):
+        # True would run one replication and 2.5 fail inside simulate_type1
+        with pytest.raises(ValueError, match="n_rep must be an integer >= 1"):
+            SimConfig(n=10, n_rep=n_rep)
+
+    def test_numpy_integer_n_rep_accepted(self):
+        cfg = SimConfig(n=10, k_set=(1,), n_rep=np.int64(300), seed=5)
+        plain = SimConfig(n=10, k_set=(1,), n_rep=300, seed=5)
+        assert simulate_type1(cfg).rejections == simulate_type1(plain).rejections
+
 
 class TestSerialization:
     def test_ci_halfwidth_formula(self):

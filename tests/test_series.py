@@ -329,6 +329,16 @@ class TestUtp:
             trunc = float(utp(c, n, k, truncated=True))
             assert abs(full - trunc) < 1e-6
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 6, 10, 1000])
+    def test_truncated_is_the_public_tail_form(self, n, k):
+        # one tail form serves utp and the solver; the public coefficients
+        # (with the k >= 4 shift of A_2) must give it bit for bit
+        for c in np.linspace(0.3, 3.5, 33):
+            want = ((1.0 + fun_a0(n, k)) + fun_aj(1, c, n, k) * math.exp(-2.0 * c * c)
+                    + fun_aj(2, c, n, k) * math.exp(-8.0 * c * c))
+            assert utp(c, n, k, truncated=True).raw == want
+
     def test_probability_type(self):
         p = utp(1.5, 10, 5)
         assert isinstance(p, Probability)
@@ -357,8 +367,8 @@ class TestMalformedInput:
                 f()
 
     def test_bad_key_raises_after_its_twin_is_cached(self):
-        # True == 1 and 10.0 == 10 hash alike, so a check inside the cached
-        # expansion would be skipped here
+        # True == 1 and 10.0 == 10 hash alike, so the check inside the cached
+        # expansion would be skipped here if the cache were not typed
         cdf_kn(1.5, 1, 1)
         cdf_kn(1.5, 10, 5)
         with pytest.raises(ValueError):
@@ -367,6 +377,20 @@ class TestMalformedInput:
             cdf_kn(1.5, 1, True)
         with pytest.raises(ValueError):
             cdf_kn(1.5, 10.0, 5)
+        with pytest.raises(ValueError):
+            cdf_kn(1.5, np.float64(10.0), 5)
+        with pytest.raises(ValueError):
+            cdf_kn(1.5, np.float64(1.0), 1)
+        with pytest.raises(ValueError):
+            cdf_kn(1.5, 1, np.float64(1.0))
+
+    @pytest.mark.parametrize("n", [-3, 0, True, 10.0])
+    def test_cdf_vn_checks_capacity_first(self, n):
+        # checked before sqrt(n), which would raise a math domain error at
+        # n = -3 and blame c at n = 0
+        with pytest.raises(ValueError) as err:
+            cdf_vn(0.5, n, 1)
+        assert str(err.value) == f"sample capacity n must be an integer >= 1, got {n!r}"
 
     def test_numpy_integers_accepted(self):
         want = float(cdf_kn(1.5, 10, 5))

@@ -162,6 +162,14 @@ class TestPairSolver:
                     assert pair.v == pair.c / math.sqrt(n)
                     assert pair.iterations >= 1
 
+    @pytest.mark.parametrize("method", ["newton", "direct"])
+    def test_residual_is_f_nlm_at_the_root(self, method):
+        for alpha in (0.01, 0.05, 0.20, 0.40):
+            for n in (6, 10, 1000):
+                for k in (1, 3, 4, 5):
+                    pair = kuiper_pair_solver(alpha, n, k, method)
+                    assert pair.residual == f_nlm(pair.c, alpha, n, k)
+
     def test_truncated_tail_round_trip(self):
         for alpha in (0.01, 0.05, 0.10, 0.40):
             pair = kuiper_pair_solver(alpha, 10, 5)
