@@ -154,39 +154,17 @@ def ks_utp_asymptotic(d, n: int):
     """Asymptotic two-sided Kolmogorov tail 2 sum_j (-1)^{j-1} e^{-2 j^2 n d^2}.
 
     Terms below 1e-12 are dropped; an exponent rate below _KS_FLAT_RATE
-    returns the limit value 1.  A float d gives a Probability; an ndarray
-    of d gives the clamped tails as an array, each summed with the same
-    terms.
+    returns the limit value 1.  A float d gives a Probability of the
+    unclamped sum; an ndarray of d gives the clamped tails as an array,
+    each summed with the same terms.
     """
-    if isinstance(d, np.ndarray):
-        return _ks_utp_array(d, n)
-    if not 0.0 <= d < math.inf:
-        raise ValueError(f"statistic d must be nonnegative and finite, got {d}")
-    _check_capacity(n)
-    rate = 2.0 * n * d * d
-    if rate < _KS_FLAT_RATE:
-        return Probability(1.0)
-    total = 0.0
-    sign = 1.0
-    j = 1
-    while True:
-        term = math.exp(-j * j * rate)
-        if term < 1e-12:
-            break
-        total += sign * term
-        sign = -sign
-        j += 1
-    return Probability(2.0 * total)
-
-
-def _ks_utp_array(d: np.ndarray, n: int) -> np.ndarray:
-    d = np.asarray(d, dtype=float)
-    bad = ~((d >= 0.0) & (d < math.inf))  # NaN fails both comparisons
+    arr = np.asarray(d, dtype=float)
+    bad = ~((arr >= 0.0) & (arr < math.inf))  # NaN fails both comparisons
     if bad.any():
         raise ValueError(f"statistic d must be nonnegative and finite, "
-                         f"got {d[bad][0]}")
+                         f"got {arr[bad][0]}")
     _check_capacity(n)
-    rate = 2.0 * n * d * d
+    rate = 2.0 * n * arr * arr
     live = rate >= _KS_FLAT_RATE
     total = np.zeros_like(rate)
     sign = 1.0
@@ -199,4 +177,7 @@ def _ks_utp_array(d: np.ndarray, n: int) -> np.ndarray:
         total += np.where(live, sign * term, 0.0)
         sign = -sign
         j += 1
-    return np.clip(np.where(rate < _KS_FLAT_RATE, 1.0, 2.0 * total), 0.0, 1.0)
+    raw = np.where(rate < _KS_FLAT_RATE, 1.0, 2.0 * total)
+    if isinstance(d, np.ndarray):
+        return np.clip(raw, 0.0, 1.0)
+    return Probability(float(raw))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .gof import EdfScheme, SampleSet, kuiper_test
 from .montecarlo import SimConfig, normal_cdf, simulate_type1
-from .series import _check_capacity, cdf_vn, utp
+from .series import _check_capacity, cdf_kn, utp
 from .solver import (ConvergenceError, FixedPointDomainError, kuiper_inv_cdf,
                      kuiper_ltq, kuiper_pair_solver, kuiper_utq)
 
@@ -85,6 +85,8 @@ def parse_dist_spec(spec: str):
                          f"name(p1,p2) or table:PATH")
     name = m.group(1).lower()
     params = [float(p) for p in m.group(2).split(",")] if m.group(2).strip() else []
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"distribution parameters must be finite, got {spec!r}")
     if name == "normal":
         if len(params) != 2 or params[1] <= 0:
             raise ValueError("normal distribution needs (mu, sigma) with sigma > 0")
@@ -99,45 +101,47 @@ def parse_dist_spec(spec: str):
                      f"or table:PATH")
 
 
-def _load_cdf_table(path: str):
-    xs, ps = [], []
+def _read_numbers(path: str, width: int) -> list:
+    """Rows of ``width`` (1 or 2) finite numbers, one row a line of a text
+    file.  Blank and '#' lines are skipped; two columns split at commas or
+    whitespace.  Every error names ``path:line``."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            text = line.strip()
+            if not text or text.startswith("#"):
                 continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
+            cells = text.replace(",", " ").split() if width == 2 else [text]
+            if len(cells) != width:
                 raise ValueError(f"{path}:{lineno}: expected two columns, "
-                                 f"got {line!r}")
-            xs.append(float(parts[0]))
-            ps.append(float(parts[1]))
-    if len(xs) < 2:
+                                 f"got {text!r}")
+            try:
+                row = [float(cell) for cell in cells]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+            rows.append(row)
+    return rows
+
+
+def _load_cdf_table(path: str):
+    rows = _read_numbers(path, 2)
+    if len(rows) < 2:
         raise ValueError(f"{path}: a CDF table needs at least two rows")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    xs, ps = np.array(rows).T
+    if (np.diff(xs) <= 0).any():
         raise ValueError(f"{path}: x column must be strictly increasing")
-    if any(b < a for a, b in zip(ps, ps[1:])) or ps[0] < 0 or ps[-1] > 1:
+    if (np.diff(ps) < 0).any() or ps[0] < 0 or ps[-1] > 1:
         raise ValueError(f"{path}: probability column must be nondecreasing "
                          f"within [0, 1]")
-    xs_arr, ps_arr = np.asarray(xs), np.asarray(ps)
-    return lambda x: float(np.interp(x, xs_arr, ps_arr, left=ps_arr[0],
-                                     right=ps_arr[-1]))
+    return lambda x: float(np.interp(x, xs, ps, left=ps[0], right=ps[-1]))
 
 
 def read_sample_file(path: str, csv_column: str | None = None) -> list:
     """One value per line ('#' comments allowed), or a CSV column."""
     if csv_column is None:
-        values = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: not a number: {text!r}")
-        return values
+        return [value for value, in _read_numbers(path, 1)]
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -160,16 +164,12 @@ def read_sample_file(path: str, csv_column: str | None = None) -> list:
             cell = row[idx]
         except IndexError:
             raise ValueError(f"{path}:{lineno}: row has no column {idx}")
-        if start == 0 and lineno == 1:
-            try:
-                values.append(float(cell))
-            except ValueError:
+        try:
+            values.append(float(cell))
+        except ValueError:
+            if start == 0 and lineno == 1:
                 continue  # tolerate a header row above an index-selected column
-        else:
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {cell!r}")
+            raise ValueError(f"{path}:{lineno}: not a number: {cell!r}")
     if not values:
         raise ValueError(f"{path}: no usable values in column {csv_column!r}")
     return values
@@ -205,13 +205,9 @@ def cmd_invcdf(args) -> int:
 def cmd_cdf(args) -> int:
     if (args.v is None) == (args.c is None):
         raise ValueError("give exactly one of --v or --c")
-    _check_capacity(args.n)  # before the sqrt(n) of either branch
-    if args.v is not None:
-        p = cdf_vn(args.v, args.n, args.k)
-        c = args.v * math.sqrt(args.n)
-    else:
-        c = args.c
-        p = cdf_vn(args.c / math.sqrt(args.n), args.n, args.k)
+    _check_capacity(args.n)  # before the sqrt(n) of --v
+    c = args.c if args.v is None else args.v * math.sqrt(args.n)
+    p = cdf_kn(c, args.n, args.k)
     tail = utp(c, args.n, args.k)
     row = {"n": args.n, "k": args.k, "c": c, "cdf": float(p), "utp": float(tail)}
     if p.warning:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import Probability, utp
+from .series import Probability, _check_capacity, utp
 from .solver import kuiper_utq
 
 __all__ = [
@@ -61,7 +61,7 @@ class EdfScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A finite real sample with its order statistics."""
+    """A finite real sample with its order statistics; NaN and inf raise."""
 
     values: tuple
     sorted: tuple = field(init=False, repr=False)
@@ -71,6 +71,8 @@ class SampleSet:
         vals = tuple(float(x) for x in self.values)
         if not vals:
             raise ValueError("sample must contain at least one value")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("sample values must be finite, not NaN or inf")
         object.__setattr__(self, "values", vals)
         srt = tuple(builtins.sorted(vals))
         object.__setattr__(self, "sorted", srt)
@@ -95,8 +97,7 @@ class TestResult:
 
 def edf_probs(n: int, scheme: EdfScheme) -> list:
     """Plotting positions [q_1, ..., q_n] for a single scheme."""
-    if n < 1:
-        raise ValueError(f"sample capacity n must be >= 1, got {n}")
+    _check_capacity(n)
     if scheme is EdfScheme.STEPHENS_MIXED:
         raise ValueError("stephens_mixed pairs two plotting positions; "
                          "use compute_vn or vn_from_probs directly")
@@ -126,16 +127,13 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     n = q.shape[-1]
-    t = np.arange(1.0, n + 1.0)
     if scheme is EdfScheme.STEPHENS_MIXED:
-        d_plus = (t / n - q).max(axis=-1)
-        d_minus = (q - (t - 1.0) / n).max(axis=-1)
+        t = np.arange(1.0, n + 1.0)
+        upper, lower = t / n, (t - 1.0) / n
     else:
-        qhat = np.asarray(edf_probs(n, scheme))
-        d_plus = (qhat - q).max(axis=-1)
-        d_minus = (q - qhat).max(axis=-1)
-    d_plus = np.maximum(d_plus, 0.0)
-    d_minus = np.maximum(d_minus, 0.0)
+        upper = lower = np.asarray(edf_probs(n, scheme))
+    d_plus = np.maximum((upper - q).max(axis=-1), 0.0)
+    d_minus = np.maximum((q - lower).max(axis=-1), 0.0)
     if q.ndim == 1:
         d_plus, d_minus = float(d_plus), float(d_minus)
     return d_plus, d_minus, d_plus + d_minus

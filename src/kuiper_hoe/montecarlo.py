@@ -25,9 +25,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .baselines import ks_utp_asymptotic, modified_quantile
+from .baselines import ks_utp_asymptotic, modified_quantile, modified_statistic
 from .gof import EdfScheme, vn_from_probs
-from .series import _is_integer
+from .series import _is_integer, fun_a0
 from .solver import kuiper_utq
 
 __all__ = [
@@ -87,8 +87,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_set", tuple(self.k_set))
         object.__setattr__(self, "comparators", tuple(self.comparators))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not self.k_set:
+            raise ValueError("k_set needs at least one order")
+        for k in self.k_set:
+            fun_a0(self.n, k)  # checks (n, k) through the expansion cache
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not _is_integer(self.n_rep) or self.n_rep < 1:
@@ -148,8 +150,7 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
     use_stephens = "stephens" in cfg.comparators
     if use_stephens:
         c_mk = modified_quantile(cfg.alpha)
-        sqrt_n = math.sqrt(cfg.n)
-        t_mult = sqrt_n + 0.155 + 0.24 / sqrt_n
+        t_mult = modified_statistic(1.0, cfg.n).t_n
 
     for block, start in enumerate(range(0, cfg.n_rep, BLOCK_REPS)):
         rng = np.random.default_rng(

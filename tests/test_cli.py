@@ -9,6 +9,7 @@ import pytest
 
 from kuiper_hoe.cli import main
 from kuiper_hoe.montecarlo import SimConfig, normal_ppf, simulate_type1
+from kuiper_hoe.series import cdf_kn, utp
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +106,17 @@ class TestCdfCommand:
         assert err == f"error: sample capacity n must be an integer >= 1, got {n}\n"
 
 
+    def test_c_evaluates_cdf_and_utp_at_c(self, capsys):
+        # c / sqrt(n) * sqrt(n) is not 1.7 in floats at n = 5
+        code, out, _ = run_cli(capsys, "cdf", "--c", "1.7", "--n", "5",
+                               "--k", "5", "--format", "json")
+        assert code == 0
+        row = json.loads(out)
+        assert row["c"] == 1.7
+        assert row["cdf"] == float(cdf_kn(1.7, 5, 5))
+        assert row["utp"] == float(utp(1.7, 5, 5))
+
+
 class TestTable:
     def test_single_cell(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--alpha", "0.40",
@@ -167,6 +179,45 @@ class TestTestCommand:
                                "--dist", "uniform(0,3)")
         assert code == 2
         assert ":3:" in err
+
+    @pytest.mark.parametrize("line", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_exits_2(self, capsys, tmp_path, line):
+        path = tmp_path / "data.txt"
+        path.write_text(f"0.1\n0.2\n{line}\n0.4\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "test", "--file", str(path),
+                                 "--dist", "uniform(0,1)")
+        assert (code, out) == (2, "")
+        assert f"{path}:3: not a finite number" in err
+
+    def test_non_finite_csv_sample_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x\n0.1\nnan\n0.4\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "test", "--file", str(path),
+                                 "--csv-column", "x", "--dist", "uniform(0,1)")
+        assert (code, out) == (2, "")
+        assert "sample values must be finite" in err
+
+    @pytest.mark.parametrize("spec", ["normal(inf,1)", "normal(0,inf)",
+                                      "uniform(0,nan)", "uniform(-inf,1)"])
+    def test_non_finite_dist_exits_2(self, capsys, decile_file, spec):
+        code, out, err = run_cli(capsys, "test", "--file", decile_file,
+                                 "--dist", spec)
+        assert (code, out) == (2, "")
+        assert "distribution parameters must be finite" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5 abc", "not a number: '0.5 abc'"),
+        ("0.5 nan", "not a finite number: '0.5 nan'"),
+        ("0.5", "expected two columns, got '0.5'"),
+    ], ids=["non-numeric", "nan", "one-column"])
+    def test_bad_cdf_table_cell_names_position(self, capsys, tmp_path,
+                                               decile_file, row, message):
+        cdf_path = tmp_path / "cdf.txt"
+        cdf_path.write_text(f"# x F\n-5 0\n{row}\n5 1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "test", "--file", decile_file,
+                                 "--dist", f"table:{cdf_path}")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cdf_path}:3: {message}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "test", "--file", "/nonexistent.txt",

@@ -47,6 +47,12 @@ class TestEdfProbs:
                 q = edf_probs(n, scheme)
                 assert all(0.0 <= x <= 1.0 for x in q)
 
+    @pytest.mark.parametrize("n", [2.5, True, 0, np.bool_(True), 4.0])
+    def test_capacity_must_be_a_positive_integer(self, n):
+        # 2.5 once gave [0.4, 0.8, 1.2] and True gave [1.0]
+        with pytest.raises(ValueError, match="sample capacity n"):
+            edf_probs(n, EdfScheme.SCHEME0)
+
     def test_mixed_is_rejected(self):
         with pytest.raises(ValueError):
             edf_probs(5, EdfScheme.STEPHENS_MIXED)
@@ -69,6 +75,12 @@ class TestSampleSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SampleSet(())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN once sorted as (1.0, nan, 0.2, 0.5) and gave a V_n of 1.37
+        with pytest.raises(ValueError, match="must be finite"):
+            SampleSet((1.0, bad, 0.5, 0.2))
 
     def test_ties_warn(self):
         with pytest.warns(TiesWarning):

@@ -157,6 +157,19 @@ class TestBlockLayout:
         with pytest.raises(ValueError, match="n_rep must be an integer >= 1"):
             SimConfig(n=10, n_rep=n_rep)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": True}, "sample capacity n"),
+        ({"n": 10.5}, "sample capacity n"),
+        ({"n": 0}, "sample capacity n"),
+        ({"n": 10, "k_set": (7,)}, "expansion order k"),
+        ({"n": 10, "k_set": (1, 2.0)}, "expansion order k"),
+        ({"n": 10, "k_set": ()}, "k_set needs at least one order"),
+    ], ids=["n-bool", "n-float", "n-zero", "k-7", "k-float", "k-empty"])
+    def test_n_and_k_set_checked_at_construction(self, kwargs, message):
+        # these once constructed; k_set=() even ran and returned {}
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**kwargs)
+
     def test_numpy_integer_n_rep_accepted(self):
         cfg = SimConfig(n=10, k_set=(1,), n_rep=np.int64(300), seed=5)
         plain = SimConfig(n=10, k_set=(1,), n_rep=300, seed=5)
