@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Bit-identity sweep of the solver and the series.
+"""Bit-identity sweep of the solver, the series and the test statistic.
 
     PYTHONPATH=src python scripts/solver_sweep.py
 
 Solves every cell of both methods x 310 alphas (log-spaced in
 [5e-4, 0.9995]) x 19 capacities x k = 1..5, 58,900 solves, and evaluates
 ``utp(truncated=True)`` and ``cdf_kn`` at 400 points of c in [0.3, 3.5]
-for n in {6, 10, 50, 1000} x k = 1..5.  Prints the outcome counts and a
-sha256 per part.  A solved pair feeds ``c.hex()``, its iteration count and
+for n in {6, 10, 50, 1000} x k = 1..5.  The gof part runs ``compute_vn``
+on one seeded N(0.2, 1.1^2) sample for each of 149 capacities (200 points
+log-spaced over 1..5000, rounded, repeats dropped), under all six schemes,
+against ``normal_cdf`` and against a CDF that takes Python floats only.  Prints the outcome counts and a sha256
+per part.  A solved pair feeds ``c.hex()``, its iteration count and
 ``residual.hex()`` into the solver digest, a failed one its exception type,
-``argument`` and ``steps``; each series value feeds ``raw.hex()``.  Two
-revisions that print the same lines give the same numbers on this grid.
+``argument`` and ``steps``; each series value feeds ``raw.hex()``, and
+each statistic the ``hex()`` of D+, D- and V_n.  Two revisions that print
+the same lines give the same numbers on this grid.
 """
 
 import collections
@@ -20,6 +24,8 @@ import warnings
 
 import numpy as np
 
+from kuiper_hoe.gof import EdfScheme, SampleSet, compute_vn
+from kuiper_hoe.montecarlo import normal_cdf
 from kuiper_hoe.series import cdf_kn, utp
 from kuiper_hoe.solver import kuiper_pair_solver
 
@@ -29,6 +35,13 @@ CAPACITIES = (*range(1, 11), 12, 15, 20, 30, 50, 100, 10**3, 10**4, 10**6)
 ORDERS = range(1, 6)
 SERIES_C = np.linspace(0.3, 3.5, 400)
 SERIES_CAPACITIES = (6, 10, 50, 1000)
+GOF_CAPACITIES = sorted(set(np.rint(np.logspace(0.0, math.log10(5000), 200))
+                            .astype(int).tolist()))
+
+
+def scalar_only_cdf(x: float) -> float:
+    """Standard normal CDF through math.erf; refuses arrays."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def solver_part() -> tuple[collections.Counter, str]:
@@ -67,6 +80,19 @@ def series_part() -> tuple[int, str]:
     return values, digest.hexdigest()
 
 
+def gof_part() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    values = 0
+    for n in GOF_CAPACITIES:
+        sample = SampleSet(np.random.default_rng(n).normal(0.2, 1.1, n).tolist())
+        for scheme in EdfScheme:
+            for cdf in (normal_cdf, scalar_only_cdf):
+                stats = compute_vn(sample, cdf, scheme)
+                digest.update(" ".join(v.hex() for v in stats).encode() + b"\n")
+                values += len(stats)
+    return values, digest.hexdigest()
+
+
 def main() -> None:
     counts, solver_digest = solver_part()
     print(f"solver {sum(counts.values())} solves: "
@@ -74,6 +100,8 @@ def main() -> None:
           + f"; sha256 {solver_digest}")
     values, series_digest = series_part()
     print(f"series {values} values; sha256 {series_digest}")
+    values, gof_digest = gof_part()
+    print(f"gof {values} values; sha256 {gof_digest}")
 
 
 if __name__ == "__main__":

@@ -46,6 +46,8 @@ def stephens_utp(v: float, n: int) -> Probability:
     raw factorials overflow for large n.
     """
     _check_capacity(n)
+    if not math.isfinite(v):  # NaN and inf pass the floor test below
+        raise ValueError(f"stephens_utp requires a finite v, got {v}")
     floor = 0.5 if n % 2 == 0 else (n - 1) / (2 * n)
     if v < floor:
         raise ValueError(f"stephens_utp requires v >= {floor} for n={n}, got {v}")

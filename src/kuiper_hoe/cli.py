@@ -96,7 +96,7 @@ def parse_dist_spec(spec: str):
         if len(params) != 2 or params[0] >= params[1]:
             raise ValueError("uniform distribution needs (a, b) with a < b")
         a, b = params
-        return lambda x: min(1.0, max(0.0, (x - a) / (b - a)))
+        return lambda x: np.clip((x - a) / (b - a), 0.0, 1.0)
     raise ValueError(f"unknown distribution {name!r}; expected normal, uniform, "
                      f"or table:PATH")
 
@@ -135,7 +135,7 @@ def _load_cdf_table(path: str):
     if (np.diff(ps) < 0).any() or ps[0] < 0 or ps[-1] > 1:
         raise ValueError(f"{path}: probability column must be nondecreasing "
                          f"within [0, 1]")
-    return lambda x: float(np.interp(x, xs, ps, left=ps[0], right=ps[-1]))
+    return lambda x: np.interp(x, xs, ps, left=ps[0], right=ps[-1])
 
 
 def read_sample_file(path: str, csv_column: str | None = None) -> list:
@@ -219,7 +219,7 @@ def cmd_cdf(args) -> int:
 def cmd_test(args) -> int:
     cdf = parse_dist_spec(args.dist)
     values = read_sample_file(args.file, args.csv_column)
-    sample = SampleSet(tuple(values))
+    sample = SampleSet(values)
     scheme = EdfScheme.from_string(args.scheme)
     result = kuiper_test(sample, cdf, alpha=args.alpha, k=args.k, scheme=scheme)
     row = {"n": sample.n, "d_plus": result.d_plus, "d_minus": result.d_minus,

@@ -7,7 +7,6 @@ V_n, and an accept/reject decision against the solved critical quantile.
 
 from __future__ import annotations
 
-import builtins
 import enum
 import math
 import warnings
@@ -59,25 +58,31 @@ class EdfScheme(enum.Enum):
             raise ValueError(f"unknown EDF scheme {name!r}; expected one of {valid}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """A finite real sample with its order statistics; NaN and inf raise."""
+    """A finite real sample with its order statistics; NaN and inf raise.
 
-    values: tuple
-    sorted: tuple = field(init=False, repr=False)
+    ``values`` (in the given order) and ``sorted`` are read-only float64
+    arrays.  Instances compare and hash by identity: arrays have no
+    single truth value to compare fields by.
+    """
+
+    values: np.ndarray
+    sorted: np.ndarray = field(init=False, repr=False)
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        vals = tuple(float(x) for x in self.values)
-        if not vals:
+        vals = np.fromiter(self.values, float)
+        if not vals.size:
             raise ValueError("sample must contain at least one value")
-        if not all(map(math.isfinite, vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("sample values must be finite, not NaN or inf")
+        srt = np.sort(vals)
+        vals.flags.writeable = srt.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        srt = tuple(builtins.sorted(vals))
         object.__setattr__(self, "sorted", srt)
-        object.__setattr__(self, "n", len(srt))
-        if any(a == b for a, b in zip(srt, srt[1:])):
+        object.__setattr__(self, "n", srt.size)
+        if (srt[1:] == srt[:-1]).any():
             warnings.warn("sample contains tied values; the test assumes a "
                           "continuous population", TiesWarning, stacklevel=2)
 
@@ -141,12 +146,25 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
 
 def compute_vn(sample: SampleSet, hypothesized_cdf,
                scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
-    """(D+, D-, V_n) of a sample against a fully specified CDF."""
-    q = [float(hypothesized_cdf(x)) for x in sample.sorted]
-    for x, qt in zip(sample.sorted, q):
-        if not 0.0 <= qt <= 1.0:
-            raise ValueError(f"hypothesized CDF returned {qt!r} at x={x!r}; "
-                             f"a CDF must map into [0, 1]")
+    """(D+, D-, V_n) of a sample against a fully specified CDF.
+
+    The CDF is called once, on the array of order statistics.  If that
+    call raises TypeError or ValueError, or does not give one value per
+    point, it is called once per point on Python floats instead, so a
+    scalar-only callable works too.
+    """
+    x, n = sample.sorted, sample.n
+    try:
+        q = np.asarray(hypothesized_cdf(x), dtype=float)
+    except (TypeError, ValueError):
+        q = None
+    if q is None or q.shape != (n,):
+        q = np.fromiter(map(hypothesized_cdf, x.tolist()), float, n)
+    bad = ~((q >= 0.0) & (q <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"hypothesized CDF returned {float(q[i])!r} at "
+                         f"x={float(x[i])!r}; a CDF must map into [0, 1]")
     return vn_from_probs(q, scheme)
 
 

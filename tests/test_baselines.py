@@ -46,6 +46,12 @@ class TestStephensUtp:
         with pytest.raises(ValueError):
             stephens_utp(0.5 - 0.5 / 9 - 1e-9, 9)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, v):
+        # inf once raised OverflowError and nan a bare conversion error
+        with pytest.raises(ValueError, match=f"requires a finite v, got {v}"):
+            stephens_utp(v, 10)
+
     def test_against_extended_precision(self):
         assert float(stephens_utp(0.6, 50)) == pytest.approx(
             stephens_utp_mp(0.6, 50), abs=1e-10)

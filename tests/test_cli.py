@@ -5,9 +5,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from kuiper_hoe.cli import main
+from kuiper_hoe.cli import main, parse_dist_spec
 from kuiper_hoe.montecarlo import SimConfig, normal_ppf, simulate_type1
 from kuiper_hoe.series import cdf_kn, utp
 
@@ -256,6 +257,20 @@ class TestTestCommand:
                                "--dist", f"table:{cdf_path}")
         assert code == 2
         assert "nondecreasing" in err or "monotone" in err
+
+    def test_dist_cdfs_give_per_point_values_on_arrays(self, tmp_path):
+        # compute_vn calls the CDF once on the sorted sample; each element
+        # must be what a call on that point alone gives
+        cdf_path = tmp_path / "cdf.txt"
+        cdf_path.write_text("-1.0 0.0\n0.0 0.3\n0.5 0.35\n2.0 1.0\n",
+                            encoding="utf-8")
+        x = np.concatenate([np.linspace(-3.0, 3.0, 601),
+                            [-1.0, 0.0, -0.0, 0.5, 2.0]])
+        for spec in ("normal(0.3,1.7)", "uniform(-1,2)", f"table:{cdf_path}"):
+            cdf = parse_dist_spec(spec)
+            got = cdf(x)
+            assert got.shape == x.shape
+            assert got.tolist() == [float(cdf(v)) for v in x.tolist()]
 
     def test_unknown_dist(self, capsys, decile_file):
         code, _, err = run_cli(capsys, "test", "--file", decile_file,

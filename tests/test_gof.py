@@ -68,9 +68,22 @@ class TestEdfProbs:
 class TestSampleSet:
     def test_orders_values(self):
         s = SampleSet((3.0, 1.0, 2.0))
-        assert s.sorted == (1.0, 2.0, 3.0)
+        assert tuple(s.sorted) == (1.0, 2.0, 3.0)
         assert s.n == 3
-        assert s.values == (3.0, 1.0, 2.0)
+        assert tuple(s.values) == (3.0, 1.0, 2.0)
+
+    def test_arrays_are_read_only(self):
+        s = SampleSet((3.0, 1.0, 2.0))
+        for arr in (s.values, s.sorted):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_generator_accepted(self):
+        s = SampleSet(x / 4 for x in (3, 1, 2))
+        assert tuple(s.values) == (0.75, 0.25, 0.5)
+        assert tuple(s.sorted) == (0.25, 0.5, 0.75)
+        assert s.n == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -181,6 +194,69 @@ class TestComputeVn:
     def test_one_dimensional_input_gives_floats(self):
         for q in ([0.2, 0.7], np.array([0.2, 0.7])):
             assert all(type(x) is float for x in vn_from_probs(q))
+
+
+def per_point_vn(values, cdf, scheme=EdfScheme.STEPHENS_MIXED):
+    """(D+, D-, V_n) with one CDF call per order statistic, on Python floats."""
+    q = [float(cdf(x)) for x in sorted(float(v) for v in values)]
+    return vn_from_probs(q, scheme)
+
+
+def scalar_only_normal_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+class TestCdfCalls:
+    @pytest.mark.parametrize("scheme", list(EdfScheme))
+    @pytest.mark.parametrize("n", [1, 2, 7, 5000])
+    def test_one_array_call_matches_per_point_loop(self, scheme, n):
+        values = np.random.default_rng(n).normal(0.2, 1.1, n).tolist()
+        calls = []
+
+        def cdf(x):
+            calls.append(x)
+            return normal_cdf(x)
+
+        got = compute_vn(SampleSet(values), cdf, scheme)
+        assert got == per_point_vn(values, normal_cdf, scheme)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_scalar_only_cdf_falls_back(self, n):
+        values = np.random.default_rng(n).normal(0.0, 1.3, n).tolist()
+        calls = []
+
+        def cdf(x):
+            calls.append(x)
+            return scalar_only_normal_cdf(x)
+
+        got = compute_vn(SampleSet(values), cdf)
+        assert got == per_point_vn(values, scalar_only_normal_cdf)
+        # one refused array call, then one call per point on a Python float
+        assert len(calls) == n + 1
+        assert all(type(x) is float for x in calls[1:])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_wrong_shape_falls_back(self, n):
+        values = np.random.default_rng(n).normal(0.0, 1.3, n).tolist()
+
+        def cdf(x):  # an array gives one number, not one per point
+            return float(np.mean(normal_cdf(np.asarray(x, dtype=float))))
+
+        assert compute_vn(SampleSet(values), cdf) == per_point_vn(values, cdf)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, math.inf])
+    @pytest.mark.parametrize("cdf_kind", ["array", "scalar"])
+    def test_range_message_names_first_bad_point(self, bad, cdf_kind):
+        if cdf_kind == "array":
+            cdf = lambda x: np.where(x > 0.5, bad, 0.3)
+        else:
+            cdf = lambda x: bad if x > 0.5 else 0.3
+        message = (f"hypothesized CDF returned {bad!r} at x=0.6; "
+                   f"a CDF must map into [0, 1]")
+        with pytest.raises(ValueError) as info:
+            compute_vn(SampleSet((0.9, 0.75, 0.1, 0.6)), cdf)
+        assert str(info.value) == message
 
 
 class TestKuiperTest:

@@ -39,6 +39,29 @@ class TestNormalCdf:
                                                   rel=1e-12)
 
 
+class TestNormalCdfArrays:
+    def test_array_matches_scalar_path(self):
+        x = np.concatenate([
+            np.linspace(-38.5, 9.5, 4001),
+            [-38.0, np.nextafter(-38.0, -np.inf), np.nextafter(-38.0, 0.0),
+             9.0, np.nextafter(9.0, 0.0), np.nextafter(9.0, np.inf),
+             0.0, -0.0, 1e-300, -1e-300],
+            np.random.default_rng(2).normal(0.0, 3.0, 2000)])
+        got = normal_cdf(x)
+        assert type(got) is np.ndarray and got.shape == x.shape
+        assert got.tolist() == [normal_cdf(v) for v in x.tolist()]
+
+    def test_shape_is_kept(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        got = normal_cdf(x)
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == [normal_cdf(v) for v in x.ravel().tolist()]
+
+    def test_empty_array(self):
+        got = normal_cdf(np.array([]))
+        assert type(got) is np.ndarray and got.shape == (0,)
+
+
 class TestNormalPpfEdges:
     def test_endpoints_are_infinite(self):
         assert normal_ppf(0.0) == -math.inf
