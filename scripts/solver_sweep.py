@@ -12,7 +12,8 @@ log-spaced over 1..5000, rounded, repeats dropped), under all six schemes,
 against ``normal_cdf`` and against a CDF that takes Python floats only.  Prints the outcome counts and a sha256
 per part.  A solved pair feeds ``c.hex()``, its iteration count and
 ``residual.hex()`` into the solver digest, a failed one its exception type,
-``argument`` and ``steps``; each series value feeds ``raw.hex()``, and
+message, ``argument`` and ``steps``, and each solve then the category and
+text of every warning it emitted; each series value feeds ``raw.hex()``, and
 each statistic the ``hex()`` of D+, D- and V_n.  Two revisions that print
 the same lines give the same numbers on this grid.
 """
@@ -47,24 +48,26 @@ def scalar_only_cdf(x: float) -> float:
 def solver_part() -> tuple[collections.Counter, str]:
     counts = collections.Counter()
     digest = hashlib.sha256()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for method in METHODS:
-            for alpha in ALPHAS.tolist():
-                for n in CAPACITIES:
-                    for k in ORDERS:
+    for method in METHODS:
+        for alpha in ALPHAS.tolist():
+            for n in CAPACITIES:
+                for k in ORDERS:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
                         try:
                             pair = kuiper_pair_solver(alpha, n, k, method)
                         except Exception as exc:
                             name = type(exc).__name__
-                            record = (f"{name} {getattr(exc, 'argument', None)} "
+                            record = (f"{name} {exc} {getattr(exc, 'argument', None)} "
                                       f"{getattr(exc, 'steps', None)}")
                         else:
                             name = "ok"
                             record = (f"{pair.c.hex()} {pair.iterations} "
                                       f"{pair.residual.hex()}")
-                        counts[name] += 1
-                        digest.update(record.encode() + b"\n")
+                    for w in caught:
+                        record += f"\n{w.category.__name__}: {w.message}"
+                    counts[name] += 1
+                    digest.update(record.encode() + b"\n")
     return counts, digest.hexdigest()
 
 

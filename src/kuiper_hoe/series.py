@@ -22,7 +22,8 @@ truncated at the fixed ``J_MAX = 10``; the terms beyond it add less than
 is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
 exception: the published critical-value tables were computed with a
 k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
-series value, and ``_tail_form`` keeps it so that it reproduces those tables.
+series value, and ``_tail_rows`` keeps it so that ``fun_aj``, the truncated
+``utp`` and the solver reproduce those tables.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -46,6 +48,7 @@ __all__ = [
 J_MAX = 10          # truncation of the inner sum over j
 TRUST_FLOOR = 0.6   # below this c results carry an accuracy advisory
 _CACHE_SIZE = 128   # (n, k) keys whose combined expansion is kept
+_FLOAT_MAX = sys.float_info.max  # the largest n that float(n) can hold
 
 # One row per order i: (C_i, rational factor, P_i as
 # {(power of c, power of J = j^2): integer coefficient}), so that the j-th
@@ -104,7 +107,7 @@ def _is_integer(x) -> bool:
 
 
 def _check_capacity(n: int) -> None:
-    if not _is_integer(n) or n < 1:
+    if not _is_integer(n) or not 1 <= n <= _FLOAT_MAX:
         raise ValueError(f"sample capacity n must be an integer >= 1, got {n!r}")
 
 
@@ -176,13 +179,15 @@ def b_series(i: int, c: float) -> float:
     return _evaluate(_SINGLE_ORDERS[i], c)
 
 
-def _tail_form(c: float, n: int, k: int) -> tuple[float, float, float]:
-    """(A_0, A_1(c), A_2(c)) of the two-exponential tail form, c unchecked."""
+def _tail_rows(n: int, k: int) -> tuple[float, tuple, tuple, float]:
+    """A_0, the rows of -A_1 and -A_2 (coefficients of c from the highest
+    power down) and the shift added to A_2, of the two-exponential tail form.
+
+    Below k = 4 the shift is -0.0, which leaves every A_2, zeros included.
+    """
     const, rows = _expansion(n, k)
-    a2 = -_horner(rows[1][1], c)
-    if k >= 4:
-        a2 += _A2_TABLE_SHIFT / float(n) ** 2
-    return -const, -_horner(rows[0][1], c), a2
+    shift = _A2_TABLE_SHIFT / float(n) ** 2 if k >= 4 else -0.0
+    return -const, rows[0][1], rows[1][1], shift
 
 
 def fun_a0(n: int, k: int) -> float:
@@ -201,7 +206,8 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     if not _is_integer(j) or j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
     _check_argument(c)
-    return _tail_form(c, n, k)[j]
+    _, row1, row2, shift = _tail_rows(n, k)
+    return -_horner(row1, c) if j == 1 else shift - _horner(row2, c)
 
 
 def _floor_warning(c: float) -> str | None:
@@ -237,7 +243,8 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     """
     _check_argument(c)
     if truncated:
-        a0, a1, a2 = _tail_form(c, n, k)
+        a0, row1, row2, shift = _tail_rows(n, k)
+        a1, a2 = -_horner(row1, c), shift - _horner(row2, c)
         c2 = c * c
         raw = (1.0 + a0) + a1 * math.exp(-2.0 * c2) + a2 * math.exp(-8.0 * c2)
     else:

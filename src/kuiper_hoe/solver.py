@@ -9,11 +9,12 @@ the quantile of the raw one.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
-from .series import _check_argument, _tail_form, fun_a0
+from .series import _check_argument, _tail_rows
 
 __all__ = [
     "KuiperPair",
@@ -96,36 +97,47 @@ def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:
     return gap
 
 
-def _log_arguments(c: float, alpha: float, n: int, k: int) -> tuple[float, float]:
-    """The two positive quantities whose logs enter the tail equation."""
-    a0, a1, a2 = _tail_form(c, n, k)
-    gap = _alpha_gap(alpha, a0, n, k)
-    if c <= 0.0:
-        raise FixedPointDomainError(
-            f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
-    _check_argument(c)  # a NaN iterate must not come back as a solved pair
-    tail = a1 + a2 * math.exp(-6.0 * c * c)
-    if tail <= 0.0:
-        raise FixedPointDomainError(
-            f"A1 + A2*exp(-6c^2) = {tail:.4g} <= 0 at c={c:.6g}: iterate left "
-            f"the contraction basin", argument="tail_coefficient")
-    return gap, tail
+def _residual(alpha: float, n: int, k: int):
+    """f_nlm at (alpha, n, k) as a function of c (f_ctm with contraction=True),
+    checks and messages kept; the expansion, gap and log(gap) are taken once."""
+    a0, row1, row2, shift = _tail_rows(n, k)
+    log_gap = math.log(_alpha_gap(alpha, a0, n, k))
+    pairs = tuple(zip(row1, row2))  # one Horner pass over both rows
+
+    def f_nlm(c, contraction=False):
+        h1 = h2 = 0.0
+        for p1, p2 in pairs:
+            h1 = h1 * c + p1
+            h2 = h2 * c + p2
+        if not 0.0 < c < math.inf:
+            if c <= 0.0:
+                raise FixedPointDomainError(
+                    f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
+            _check_argument(c)  # a NaN iterate must not come back as a solved pair
+        tail = -h1 + (shift - h2) * math.exp(-6.0 * c * c)  # A1 + A2 exp(-6c^2)
+        if tail <= 0.0:
+            raise FixedPointDomainError(
+                f"A1 + A2*exp(-6c^2) = {tail:.4g} <= 0 at c={c:.6g}: iterate left "
+                f"the contraction basin", argument="tail_coefficient")
+        if contraction:
+            radicand = (math.log(tail) - log_gap) / 2.0
+            if radicand < 0.0:
+                raise FixedPointDomainError(f"negative radicand {radicand:.4g} at "
+                                            f"c={c:.6g}", argument="radicand")
+            return math.sqrt(radicand)
+        return 2.0 * c * c + log_gap - math.log(tail)
+
+    return f_nlm
 
 
 def f_nlm(c: float, alpha: float, n: int, k: int) -> float:
     """Log-form tail residual; zero exactly at the order-k quantile."""
-    gap, tail = _log_arguments(c, alpha, n, k)
-    return 2.0 * c * c + math.log(gap) - math.log(tail)
+    return _residual(alpha, n, k)(c)
 
 
 def f_ctm(c: float, alpha: float, n: int, k: int) -> float:
     """Contraction map whose fixed point is the order-k quantile."""
-    gap, tail = _log_arguments(c, alpha, n, k)
-    radicand = (math.log(tail) - math.log(gap)) / 2.0
-    if radicand < 0.0:
-        raise FixedPointDomainError(
-            f"negative radicand {radicand:.4g} at c={c:.6g}", argument="radicand")
-    return math.sqrt(radicand)
+    return _residual(alpha, n, k)(c, contraction=True)
 
 
 def _newton_step(f, c: float, *params) -> float:
@@ -168,10 +180,12 @@ def get_init_value(f, a: float, b: float, h: float, *params) -> float:
 
     Assumes a single sign change of f on [a, b].  If f(a) and f(b) have the
     same sign (checked when both evaluate cleanly) a BracketWarning is
-    emitted and the midpoint search still runs.
+    emitted and the midpoint search still runs.  Each point costs one f call.
     """
+    fa = None
     try:
-        if f(a, *params) * f(b, *params) > 0.0:
+        fa = f(a, *params)
+        if fa * f(b, *params) > 0.0:
             warnings.warn(
                 f"no sign change of {getattr(f, '__name__', 'f')} on "
                 f"[{a}, {b}]; initializer may be far from a root", BracketWarning,
@@ -181,8 +195,11 @@ def get_init_value(f, a: float, b: float, h: float, *params) -> float:
     delta = abs(a - b)
     x_guess = (a + b) / 2.0
     while delta > h:
-        if f(x_guess, *params) * f(a, *params) > 0.0:
-            a = x_guess
+        fx = f(x_guess, *params)
+        if fa is None:  # f(a) raised above; evaluate it after f(x_guess)
+            fa = f(a, *params)
+        if fx * fa > 0.0:
+            a, fa = x_guess, fx
         else:
             b = x_guess
         delta /= 2.0
@@ -204,24 +221,18 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
         raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _alpha_gap(alpha, fun_a0(n, k), n, k)
-
-    if method == "direct":
-        def step(c):
-            return f_ctm(c, alpha, n, k)
-    else:
-        def step(c):
-            return _newton_step(f_nlm, c, alpha, n, k)
-
+    f = _residual(alpha, n, k)
+    step = (functools.partial(f, contraction=True) if method == "direct"
+            else functools.partial(_newton_step, f))
     try:
         c, iterations = _iterate(step, C_GUESS, EPSILON)
     except FixedPointDomainError as exc:
-        x0 = get_init_value(f_nlm, *BRACKET, alpha, n, k)
+        x0 = get_init_value(f, *BRACKET)
         c, steps = _iterate(step, x0, EPSILON)
         iterations = exc.steps + steps
 
     return KuiperPair(c=c, v=c / math.sqrt(n), alpha=alpha, n=n, k=k,
-                      iterations=iterations, residual=f_nlm(c, alpha, n, k))
+                      iterations=iterations, residual=f(c))
 
 
 def kuiper_utq(alpha: float, n: int, k: int) -> float:
@@ -237,8 +248,10 @@ def kuiper_utq(alpha: float, n: int, k: int) -> float:
 
 
 def kuiper_ltq(alpha: float, n: int, k: int) -> float:
-    """Lower tail quantile of V_n: 0.0 for alpha <= 0.0001, else the upper
-    tail quantile at 1 - alpha (identical code path, hence exact duality)."""
+    """Lower tail quantile of V_n, alpha in [0, 1): 0.0 for alpha <= 0.0001,
+    else the upper tail quantile at 1 - alpha (same code path, exact duality)."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if alpha <= 0.0001:
         return 0.0
     return kuiper_utq(1.0 - alpha, n, k)
@@ -246,6 +259,6 @@ def kuiper_ltq(alpha: float, n: int, k: int) -> float:
 
 def kuiper_inv_cdf(x: float, n: int, k: int) -> float:
     """Inverse CDF of V_n at probability x, via the upper tail at 1 - x."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"probability x must be in [0, 1], got {x}")
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"probability x must be in [0, 1), got {x}")
     return kuiper_utq(1.0 - x, n, k)

@@ -78,6 +78,17 @@ class TestQuantiles:
         assert code == 0
         assert out.strip() == "0.5080"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("ltq", "--alpha", "-3"), "alpha must be in [0, 1), got -3.0"),
+        (("ltq", "--alpha", "1.0"), "alpha must be in [0, 1), got 1.0"),
+        (("invcdf", "--x", "1"), "probability x must be in [0, 1), got 1.0"),
+        (("invcdf", "--x", "-0.5"), "probability x must be in [0, 1), got -0.5")])
+    def test_level_outside_unit_interval_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--n", "10", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestCdfCommand:
     def test_by_v(self, capsys):
@@ -96,9 +107,10 @@ class TestCdfCommand:
     @pytest.mark.parametrize("argv", [("--v", "0.5", "--n", "0"),
                                       ("--v", "0.5", "--n", "-3"),
                                       ("--c", "1.5", "--n", "0"),
-                                      ("--c", "1.5", "--n", "-3")],
+                                      ("--c", "1.5", "--n", "-3"),
+                                      ("--c", "1", "--n", "1" + "0" * 400)],
                              ids=["v-zero-n", "v-negative-n", "c-zero-n",
-                                  "c-negative-n"])
+                                  "c-negative-n", "c-n-beyond-float"])
     def test_bad_capacity_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, "cdf", *argv, "--k", "1")
         assert code == 2

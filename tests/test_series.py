@@ -2,6 +2,7 @@
 truncated coefficient blocks."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -391,6 +392,22 @@ class TestMalformedInput:
         with pytest.raises(ValueError) as err:
             cdf_vn(0.5, n, 1)
         assert str(err.value) == f"sample capacity n must be an integer >= 1, got {n!r}"
+
+    def test_capacity_beyond_float_range_raises(self):
+        # float(n) in the expansion would raise OverflowError
+        n = 10**400
+        for f in (lambda: cdf_kn(1.0, n, 1), lambda: fun_a0(n, 1),
+                  lambda: cdf_vn(0.5, n, 1)):
+            with pytest.raises(ValueError) as err:
+                f()
+            assert str(err.value) == ("sample capacity n must be an integer >= 1, "
+                                      f"got {n!r}")
+
+    def test_largest_float_capacity_accepted(self):
+        top = int(sys.float_info.max)
+        assert fun_a0(top, 1) == -1.0
+        with pytest.raises(ValueError, match="sample capacity"):
+            fun_a0(top + 1, 1)
 
     def test_numpy_integers_accepted(self):
         want = float(cdf_kn(1.5, 10, 5))

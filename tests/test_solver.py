@@ -1,6 +1,8 @@
 """Tests for the solver loop and the Kuiper pair solvers."""
 
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from kuiper_hoe.solver import (
     kuiper_utq,
 )
 from kuiper_hoe import solver
-from kuiper_hoe.series import cdf_vn, fun_a0, utp
+from kuiper_hoe.series import cdf_vn, fun_a0, fun_aj, utp
 
 from table_data import PAIR_TABLES
 
@@ -65,6 +67,26 @@ class TestFrameworkOnClassics:
         assert err.value.steps == 3  # 1 -> 2 -> 4, then the failing step
 
 
+def _two_calls_per_halving(f, a, b, h, *params):
+    """get_init_value as it was before f(a) was kept: f(a) is evaluated
+    again next to every midpoint."""
+    try:
+        if f(a, *params) * f(b, *params) > 0.0:
+            warnings.warn("no sign change", BracketWarning)
+    except FixedPointDomainError:
+        pass
+    delta = abs(a - b)
+    x_guess = (a + b) / 2.0
+    while delta > h:
+        if f(x_guess, *params) * f(a, *params) > 0.0:
+            a = x_guess
+        else:
+            b = x_guess
+        delta /= 2.0
+        x_guess = (a + b) / 2.0
+    return x_guess
+
+
 class TestBisectionInit:
     def test_linear_root(self):
         got = get_init_value(lambda x: x - 2.0, 0.0, 3.0, 0.05)
@@ -82,6 +104,42 @@ class TestBisectionInit:
     def test_warns_without_sign_change(self):
         with pytest.warns(BracketWarning):
             get_init_value(lambda x: x * x + 1.0, -1.0, 1.0, 0.05)
+
+    @pytest.mark.parametrize("alpha,n,k", [(0.05, 10, 5), (0.00792, 7, 5),
+                                           (0.9998, 50, 1), (0.05, 6, 1)])
+    def test_one_call_per_point_and_the_old_midpoint(self, alpha, n, k):
+        calls = []
+
+        def counted(x, *params):
+            calls.append(x)
+            return f_nlm(x, *params)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BracketWarning)
+            got = get_init_value(counted, *solver.BRACKET, alpha, n, k)
+            new_calls, calls[:] = list(calls), []
+            want = _two_calls_per_halving(counted, *solver.BRACKET, alpha, n, k)
+        halvings = (len(calls) - 2) // 2
+        assert got.hex() == want.hex()
+        assert len(new_calls) == 2 + halvings
+        assert len(set(new_calls)) == len(new_calls)  # no point evaluated twice
+
+    def test_failing_left_end_raises_at_the_same_call(self):
+        # f(a) fails in the bracket check; the first halving evaluates the
+        # midpoint, then f(a) again, which raises as before
+        def f(x):
+            calls.append(x)
+            if x < 1.0:
+                raise FixedPointDomainError("left the domain", argument="c")
+            return x - 2.0
+
+        seen = []
+        for init in (get_init_value, _two_calls_per_halving):
+            calls = []
+            with pytest.raises(FixedPointDomainError):
+                init(f, 0.6, 3.0, 0.05)
+            seen.append(calls)
+        assert seen[0] == seen[1] == [0.6, 1.8, 0.6]
 
 
 class TestResidualFunctions:
@@ -120,6 +178,42 @@ class TestResidualFunctions:
             c = _newton_step(f_nlm, c, 0.05, 10, 5)
         assert c == pytest.approx(1.6630, abs=1e-4)
         assert c / math.sqrt(10) == pytest.approx(0.5259, abs=1e-4)
+
+    def test_residuals_are_the_series_tail_form(self):
+        # bit for bit: log(alpha - 1 - A_0), A1 + A2 exp(-6c^2) from fun_aj
+        for n in (1, 3, 10, 1000):
+            for k in range(1, 6):
+                for alpha in (0.01, 0.05, 0.4):
+                    if alpha - 1.0 - fun_a0(n, k) <= 0.0:
+                        continue
+                    log_gap = math.log(alpha - 1.0 - fun_a0(n, k))
+                    for c in (0.9, 1.3, 1.7, 2.1, 2.6):
+                        a1, a2 = fun_aj(1, c, n, k), fun_aj(2, c, n, k)
+                        tail = a1 + a2 * math.exp(-6.0 * c * c)
+                        if tail <= 0.0:
+                            continue
+                        nlm = 2.0 * c * c + log_gap - math.log(tail)
+                        assert f_nlm(c, alpha, n, k).hex() == nlm.hex()
+                        ctm = (math.log(tail) - log_gap) / 2.0
+                        if ctm >= 0.0:
+                            assert f_ctm(c, alpha, n, k).hex() == math.sqrt(ctm).hex()
+
+    @pytest.mark.parametrize("f,c,alpha,argument,message", [
+        (f_nlm, -1.0, 0.05, "c", "iterate c=-1 <= 0 left the contraction basin"),
+        (f_ctm, 0.0, 0.05, "c", "iterate c=0 <= 0 left the contraction basin"),
+        (f_nlm, 3.5, 0.05, "tail_coefficient", "A1 + A2*exp(-6c^2) = -79.27 <= 0 "
+         "at c=3.5: iterate left the contraction basin"),
+        (f_ctm, 0.3, 0.9, "radicand", "negative radicand -0.04617 at c=0.3")])
+    def test_domain_error_messages(self, f, c, alpha, argument, message):
+        n = 6 if argument == "tail_coefficient" else 10
+        with pytest.raises(FixedPointDomainError) as err:
+            f(c, alpha, n, 1)
+        assert (err.value.argument, str(err.value)) == (argument, message)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_iterate_is_a_value_error(self, c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            f_nlm(c, 0.05, 10, 1)
 
     def test_alpha_gap_domain_error(self):
         # at order >= 2 a tiny alpha is unreachable for small n
@@ -233,6 +327,74 @@ class TestPairSolver:
                 kuiper_pair_solver(0.9998, 50, 1)
 
 
+def _reference_pair(alpha, n, k, method):
+    """The pair solve composed from the public pieces, one f_nlm or f_ctm
+    call (with its own key and gap checks) per residual evaluation."""
+    if method not in ("direct", "newton"):
+        raise ValueError(method)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(alpha)
+    solver._alpha_gap(alpha, fun_a0(n, k), n, k)
+    if method == "direct":
+        def step(c):
+            return f_ctm(c, alpha, n, k)
+    else:
+        def step(c):
+            return _newton_step(f_nlm, c, alpha, n, k)
+    try:
+        c, iterations = _iterate(step, solver.C_GUESS, solver.EPSILON)
+    except FixedPointDomainError as exc:
+        x0 = get_init_value(f_nlm, *solver.BRACKET, alpha, n, k)
+        c, steps = _iterate(step, x0, solver.EPSILON)
+        iterations = exc.steps + steps
+    return c, iterations, f_nlm(c, alpha, n, k)
+
+
+def _outcome(solve):
+    """A solve's result or failure, with the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            c, iterations, residual = solve()
+            got = ("ok", c.hex(), iterations, residual.hex())
+        except Exception as exc:
+            got = (type(exc), str(exc), getattr(exc, "argument", None),
+                   getattr(exc, "steps", None))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+class TestResidualBuiltOnce:
+    """kuiper_pair_solver against the composition of f_nlm, f_ctm,
+    _newton_step, _iterate and get_init_value: same numbers, same errors,
+    same warnings."""
+
+    ALPHAS = sorted(set(np.geomspace(5e-4, 0.9995, 25).tolist())
+                    | {0.8, 0.9, 0.95, 0.99})
+
+    @pytest.mark.parametrize("method", ["newton", "direct"])
+    def test_matches_the_composition(self, method):
+        kinds = collections.Counter()
+        for alpha in self.ALPHAS:
+            for n in (1, 2, 3, 7, 10, 1000):
+                for k in range(1, 6):
+                    def pair():
+                        p = kuiper_pair_solver(alpha, n, k, method)
+                        return p.c, p.iterations, p.residual
+                    got = _outcome(pair)
+                    want = _outcome(lambda: _reference_pair(alpha, n, k, method))
+                    assert got == want, (alpha, n, k)
+                    kinds[got[0][0] if got[0][0] == "ok" else got[0][2]] += 1
+                    if got[1]:
+                        kinds["warned"] += 1
+        assert {"ok", "alpha_gap", "tail_coefficient", "warned"} <= set(kinds)
+
+    def test_bracket_warning_names_f_nlm(self):
+        with pytest.warns(BracketWarning,
+                          match=r"no sign change of f_nlm on \[0.6, 3.0\]"):
+            with pytest.raises(FixedPointDomainError):
+                kuiper_pair_solver(0.9998, 50, 1)
+
+
 class TestQuantiles:
     def test_utq_guard(self):
         assert kuiper_utq(0.99995, 10, 1) == 0.0
@@ -273,6 +435,21 @@ class TestQuantiles:
         with pytest.raises(ValueError):
             kuiper_inv_cdf(1.5, 10, 1)
 
+    @pytest.mark.parametrize("alpha", [-5.0, -1e-12, 1.0, 1.5, math.nan, math.inf])
+    def test_ltq_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError) as err:
+            kuiper_ltq(alpha, 10, 1)
+        assert str(err.value) == f"alpha must be in [0, 1), got {alpha}"
+
+    def test_ltq_accepts_zero(self):
+        assert kuiper_ltq(0.0, 10, 1) == 0.0
+
+    @pytest.mark.parametrize("x", [-0.5, 1.0, 1.5, math.nan])
+    def test_inv_cdf_rejects_x_outside_unit_interval(self, x):
+        with pytest.raises(ValueError) as err:
+            kuiper_inv_cdf(x, 10, 1)
+        assert str(err.value) == f"probability x must be in [0, 1), got {x}"
+
     def test_inv_cdf_round_trip(self):
         for x in (0.6, 0.9, 0.95, 0.99):
             for n in (6, 20, 100):
@@ -297,6 +474,12 @@ class TestConfigValidation:
     def test_bad_alpha(self, alpha):
         with pytest.raises(ValueError):
             kuiper_pair_solver(alpha, 10, 5)
+
+    def test_capacity_beyond_float_range(self):
+        n = 10**400
+        with pytest.raises(ValueError) as err:
+            kuiper_pair_solver(0.05, n, 1)
+        assert str(err.value) == f"sample capacity n must be an integer >= 1, got {n!r}"
 
     def test_numpy_integers_accepted(self):
         want = kuiper_pair_solver(0.05, 10, 5)
