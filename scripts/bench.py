@@ -11,11 +11,13 @@ in machine speed does not favour one side.  The temporary tree is removed
 afterwards.  Each run lasts --seconds of op time, by default the
 benchmark's own run_seconds.
 
-The JSON written to --out holds the Python and numpy versions and nproc,
-every run's end-to-end metrics, their median and quartiles per tree, and
-per metric the ratio of the medians, the number of pairs in which the
-checkout was better (directions from BENCHMARK.json) and whether the
-medians differ by more than the parent's interquartile range.
+The JSON written to --out holds the Python and numpy versions, numpy's
+BLAS build and the OPENBLAS_CORETYPE environment value (the last bits of
+a NumPy product can depend on the BLAS kernel), nproc, every run's
+end-to-end metrics, their median and quartiles per tree, and per metric
+the ratio of the medians, the number of pairs in which the checkout was
+better (directions from BENCHMARK.json) and whether the medians differ by
+more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -60,6 +62,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{workload} seed {seed} in {tree} exited "
                            f"{done.returncode}: {done.stderr.strip()}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def blas_build() -> dict:
+    """numpy's BLAS as built: name, version and OpenBLAS configuration."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {key: blas.get(key)
+            for key in ("name", "version", "openblas configuration")}
 
 
 def summary(values: list) -> dict:
@@ -137,6 +146,8 @@ def main(argv=None) -> int:
             sys.argv[1:] if argv is None else argv),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": blas_build(),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "parent_rev": git("rev-parse", args.parent),

@@ -24,8 +24,6 @@ def main():
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--nrep", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted (>= 1) but has no effect")
     parser.add_argument("--no-comparators", action="store_true")
     args = parser.parse_args()
 
@@ -37,8 +35,7 @@ def main():
             code = cli.main(["simulate", "--n", str(n), "--alpha", repr(args.alpha),
                              "--k", "1,2,3,4,5", "--nrep", str(args.nrep),
                              "--seed", str(args.seed), "--scheme", "scheme0",
-                             "--comparators", comparators,
-                             "--workers", str(args.workers), "--format", "csv"])
+                             "--comparators", comparators, "--format", "csv"])
         if code != cli.EXIT_OK:
             return code
         csv_text = buf.getvalue()

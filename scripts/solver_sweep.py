@@ -9,13 +9,22 @@ Solves every cell of both methods x 310 alphas (log-spaced in
 for n in {6, 10, 50, 1000} x k = 1..5.  The gof part runs ``compute_vn``
 on one seeded N(0.2, 1.1^2) sample for each of 149 capacities (200 points
 log-spaced over 1..5000, rounded, repeats dropped), under all six schemes,
-against ``normal_cdf`` and against a CDF that takes Python floats only.  Prints the outcome counts and a sha256
-per part.  A solved pair feeds ``c.hex()``, its iteration count and
-``residual.hex()`` into the solver digest, a failed one its exception type,
-message, ``argument`` and ``steps``, and each solve then the category and
-text of every warning it emitted; each series value feeds ``raw.hex()``, and
-each statistic the ``hex()`` of D+, D- and V_n.  Two revisions that print
-the same lines give the same numbers on this grid.
+against ``normal_cdf`` and against a CDF that takes Python floats only.
+The wrapper part calls ``kuiper_utq``, ``kuiper_ltq`` and ``kuiper_inv_cdf``
+at the guard levels 0, 1e-5, 1e-4 and the float after it, at 0.05, 0.5,
+0.95, 0.9999 and 1, and at invalid levels, for five (n, k); hashes the
+``edf_probs`` positions for n = 1..2000 under the five single schemes; and
+runs ``simulate_type1`` with comparators ks and stephens under all six
+schemes at n in {1, 2, 10, 180} for three seeds, each with the orders that
+have a quantile there.  Prints the outcome counts and a sha256 per part.
+A solved pair feeds ``c.hex()``, its iteration count and ``residual.hex()``
+into the solver digest, a failed one its exception type, message,
+``argument`` and ``steps``, and each solve then the category and text of
+every warning it emitted; each series value feeds ``raw.hex()``, each
+statistic the ``hex()`` of D+, D- and V_n, each quantile its ``hex()`` or
+its exception type and message, each position its ``hex()``, and each
+simulation its rejection counts.  Two revisions that print the same lines
+give the same numbers on this grid.
 """
 
 import collections
@@ -25,10 +34,11 @@ import warnings
 
 import numpy as np
 
-from kuiper_hoe.gof import EdfScheme, SampleSet, compute_vn
-from kuiper_hoe.montecarlo import normal_cdf
+from kuiper_hoe.gof import EdfScheme, SampleSet, compute_vn, edf_probs
+from kuiper_hoe.montecarlo import SimConfig, normal_cdf, simulate_type1
 from kuiper_hoe.series import cdf_kn, utp
-from kuiper_hoe.solver import kuiper_pair_solver
+from kuiper_hoe.solver import (kuiper_inv_cdf, kuiper_ltq, kuiper_pair_solver,
+                               kuiper_utq)
 
 METHODS = ("newton", "direct")
 ALPHAS = np.exp(np.linspace(math.log(5e-4), math.log(0.9995), 310))
@@ -38,6 +48,13 @@ SERIES_C = np.linspace(0.3, 3.5, 400)
 SERIES_CAPACITIES = (6, 10, 50, 1000)
 GOF_CAPACITIES = sorted(set(np.rint(np.logspace(0.0, math.log10(5000), 200))
                             .astype(int).tolist()))
+LEVELS = (0.0, 1e-5, 1e-4, math.nextafter(1e-4, 1.0), 0.05, 0.5, 0.95, 0.9999,
+          1.0, -1e-12, 1.5, math.nan, math.inf, -math.inf)
+QUANTILE_KEYS = ((1, 1), (6, 3), (10, 5), (100, 4), (10**6, 2))
+# (n, alpha, orders): at n = 1 and 2 order 1 has no quantile at 0.05.
+SIM_CASES = ((1, 0.2, (2, 3, 4, 5)), (2, 0.05, (2, 3, 4, 5)),
+             (10, 0.05, tuple(ORDERS)), (180, 0.05, tuple(ORDERS)))
+SIM_SEEDS = (0, 7, 2024)
 
 
 def scalar_only_cdf(x: float) -> float:
@@ -96,6 +113,38 @@ def gof_part() -> tuple[int, str]:
     return values, digest.hexdigest()
 
 
+def wrapper_part() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    values = 0
+
+    def feed(f, *args) -> None:
+        nonlocal values
+        try:
+            record = repr(f(*args))
+        except Exception as exc:
+            record = f"{type(exc).__name__} {exc}"
+        digest.update(record.encode() + b"\n")
+        values += 1
+
+    for n, k in QUANTILE_KEYS:
+        for level in LEVELS:
+            for f in (kuiper_utq, kuiper_ltq, kuiper_inv_cdf):
+                feed(lambda: f(level, n, k).hex())
+    for n in range(1, 2001):
+        for scheme in EdfScheme:
+            if scheme is not EdfScheme.STEPHENS_MIXED:
+                digest.update(" ".join(map(float.hex, edf_probs(n, scheme)))
+                              .encode() + b"\n")
+                values += n
+    for n, alpha, orders in SIM_CASES:
+        for seed in SIM_SEEDS:
+            for scheme in EdfScheme:
+                feed(lambda: simulate_type1(SimConfig(
+                    n=n, alpha=alpha, k_set=orders, n_rep=1500, seed=seed,
+                    scheme=scheme, comparators=("ks", "stephens"))).rejections)
+    return values, digest.hexdigest()
+
+
 def main() -> None:
     counts, solver_digest = solver_part()
     print(f"solver {sum(counts.values())} solves: "
@@ -105,6 +154,8 @@ def main() -> None:
     print(f"series {values} values; sha256 {series_digest}")
     values, gof_digest = gof_part()
     print(f"gof {values} values; sha256 {gof_digest}")
+    values, wrapper_digest = wrapper_part()
+    print(f"wrappers {values} values; sha256 {wrapper_digest}")
 
 
 if __name__ == "__main__":

@@ -8,29 +8,18 @@ asymptotic Kolmogorov-Smirnov tail for comparison runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .series import Probability, _check_capacity
 from .solver import _iterate, _newton_step, get_init_value
 
 __all__ = [
-    "ModifiedStatistic",
     "stephens_utp",
     "stephens_cdf_small_v",
     "modified_statistic",
     "modified_quantile",
     "ks_utp_asymptotic",
 ]
-
-
-@dataclass(frozen=True)
-class ModifiedStatistic:
-    """Stephens' modified Kuiper statistic T_n = V_n (sqrt(n) + 0.155 + 0.24/sqrt(n))."""
-
-    t_n: float
-    n: int
 
 
 def stephens_utp(v: float, n: int) -> Probability:
@@ -106,13 +95,13 @@ def stephens_cdf_small_v(v: float, n: int) -> Probability:
     return Probability(prefactor * bracket / (t2 - t1))
 
 
-def modified_statistic(v_n: float, n: int) -> ModifiedStatistic:
-    """Stephens' modified statistic for a computed V_n."""
+def modified_statistic(v_n: float, n: int) -> float:
+    """Stephens' modified statistic T_n = V_n (sqrt(n) + 0.155 + 0.24/sqrt(n))."""
     if not 0.0 <= v_n < math.inf:
         raise ValueError(f"v_n must be nonnegative and finite, got {v_n}")
     _check_capacity(n)
     sqrt_n = math.sqrt(n)
-    return ModifiedStatistic(t_n=v_n * (sqrt_n + 0.155 + 0.24 / sqrt_n), n=n)
+    return v_n * (sqrt_n + 0.155 + 0.24 / sqrt_n)
 
 
 def _modified_residual(c: float, alpha: float) -> float:

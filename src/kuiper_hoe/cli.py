@@ -184,22 +184,20 @@ def cmd_pair(args) -> int:
     return EXIT_OK
 
 
-def _cmd_quantile(args, value: float, label: str) -> int:
-    row = {label: getattr(args, label), "n": args.n, "k": args.k, "v": value}
+# Quantile command -> (solver, level flag, help text).
+_QUANTILES = {
+    "utq": (kuiper_utq, "alpha", "UTQ of V_n"),
+    "ltq": (kuiper_ltq, "alpha", "LTQ of V_n"),
+    "invcdf": (kuiper_inv_cdf, "x", "inverse CDF of V_n"),
+}
+
+
+def cmd_quantile(args) -> int:
+    solve, level, _ = _QUANTILES[args.command]
+    value = solve(getattr(args, level), args.n, args.k)
+    row = {level: getattr(args, level), "n": args.n, "k": args.k, "v": value}
     _emit(args, [row], text=f"{value:.{args.precision}f}")
     return EXIT_OK
-
-
-def cmd_utq(args) -> int:
-    return _cmd_quantile(args, kuiper_utq(args.alpha, args.n, args.k), "alpha")
-
-
-def cmd_ltq(args) -> int:
-    return _cmd_quantile(args, kuiper_ltq(args.alpha, args.n, args.k), "alpha")
-
-
-def cmd_invcdf(args) -> int:
-    return _cmd_quantile(args, kuiper_inv_cdf(args.x, args.n, args.k), "x")
 
 
 def cmd_cdf(args) -> int:
@@ -311,20 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_pair)
 
-    for name, fn in (("utq", cmd_utq), ("ltq", cmd_ltq)):
-        p = sub.add_parser(name, help=f"{name.upper()} of V_n")
-        p.add_argument("--alpha", type=float, required=True)
+    for name, (_, level, help_text) in _QUANTILES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(f"--{level}", type=float, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, default=1)
         add_common(p)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("invcdf", help="inverse CDF of V_n")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    add_common(p)
-    p.set_defaults(func=cmd_invcdf)
+        p.set_defaults(func=cmd_quantile)
 
     p = sub.add_parser("cdf", help="CDF and UTP at a statistic value")
     p.add_argument("--v", type=float, default=None, help="raw statistic V_n")

@@ -42,11 +42,11 @@ class EdfScheme(enum.Enum):
     empirical step function.
     """
 
-    SCHEME0 = "scheme0"                 # t/n
-    SCHEME1 = "scheme1"                 # (t-1)/n
-    SCHEME2 = "scheme2"                 # (t-0.5)/n
-    SCHEME3 = "scheme3"                 # t/(n+1)
-    SCHEME4 = "scheme4"                 # (t-0.375)/(n+0.25), ISO 5479 position
+    SCHEME0 = "scheme0"
+    SCHEME1 = "scheme1"
+    SCHEME2 = "scheme2"
+    SCHEME3 = "scheme3"
+    SCHEME4 = "scheme4"
     STEPHENS_MIXED = "stephens_mixed"
 
     @classmethod
@@ -100,24 +100,33 @@ class TestResult:
     scheme: EdfScheme
 
 
+# Plotting positions (t - a)/(n + b) of the t-th order statistic, as
+# (a for D+, a for D-, b); SCHEME4 is the ISO 5479 position.  a and b are
+# multiples of 1/8, so t - a and n + b are exact.
+_POSITIONS = {
+    EdfScheme.SCHEME0: (0.0, 0.0, 0.0),
+    EdfScheme.SCHEME1: (1.0, 1.0, 0.0),
+    EdfScheme.SCHEME2: (0.5, 0.5, 0.0),
+    EdfScheme.SCHEME3: (0.0, 0.0, 1.0),
+    EdfScheme.SCHEME4: (0.375, 0.375, 0.25),
+    EdfScheme.STEPHENS_MIXED: (0.0, 1.0, 0.0),
+}
+
+
+def _positions(n: int, scheme: EdfScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The n plotting positions against which D+ and D- are taken."""
+    a_plus, a_minus, b = _POSITIONS[scheme]
+    return (np.arange(1.0 - a_plus, n + 1.0 - a_plus) / (n + b),
+            np.arange(1.0 - a_minus, n + 1.0 - a_minus) / (n + b))
+
+
 def edf_probs(n: int, scheme: EdfScheme) -> list:
     """Plotting positions [q_1, ..., q_n] for a single scheme."""
     _check_capacity(n)
     if scheme is EdfScheme.STEPHENS_MIXED:
         raise ValueError("stephens_mixed pairs two plotting positions; "
                          "use compute_vn or vn_from_probs directly")
-    t = np.arange(1.0, n + 1.0)
-    if scheme is EdfScheme.SCHEME0:
-        q = t / n
-    elif scheme is EdfScheme.SCHEME1:
-        q = (t - 1.0) / n
-    elif scheme is EdfScheme.SCHEME2:
-        q = (t - 0.5) / n
-    elif scheme is EdfScheme.SCHEME3:
-        q = t / (n + 1.0)
-    else:
-        q = (t - 0.375) / (n + 0.25)
-    return q.tolist()
+    return _positions(n, scheme)[0].tolist()
 
 
 def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
@@ -131,12 +140,7 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     three arrays of m per-row values; a 1-D sequence gives three floats.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    n = q.shape[-1]
-    if scheme is EdfScheme.STEPHENS_MIXED:
-        t = np.arange(1.0, n + 1.0)
-        upper, lower = t / n, (t - 1.0) / n
-    else:
-        upper = lower = np.asarray(edf_probs(n, scheme))
+    upper, lower = _positions(q.shape[-1], scheme)
     d_plus = np.maximum((upper - q).max(axis=-1), 0.0)
     d_minus = np.maximum((q - lower).max(axis=-1), 0.0)
     if q.ndim == 1:

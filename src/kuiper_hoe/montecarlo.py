@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "normal_cdf",
-    "normal_ppf",
     "simulate_type1",
 ]
 
@@ -45,8 +43,6 @@ KNOWN_COMPARATORS = ("ks", "stephens")
 BLOCK_REPS = 1024
 SUBSTREAMS = (f"SeedSequence(seed, spawn_key=(block,)), "
               f"{BLOCK_REPS} replications per block")
-
-_STANDARD_NORMAL = NormalDist()
 
 
 def normal_cdf(x):
@@ -60,18 +56,6 @@ def normal_cdf(x):
         erfc = np.fromiter(map(math.erfc, z), float, x.size)
         return 0.5 * erfc.reshape(x.shape)
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def normal_ppf(p: float) -> float:
-    """Standard normal inverse CDF: -inf at 0, +inf at 1, nan for NaN or
-    p outside [0, 1]."""
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    if not 0.0 < p < 1.0:
-        return math.nan
-    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)
@@ -157,7 +141,7 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
     use_stephens = "stephens" in cfg.comparators
     if use_stephens:
         c_mk = modified_quantile(cfg.alpha)
-        t_mult = modified_statistic(1.0, cfg.n).t_n
+        t_mult = modified_statistic(1.0, cfg.n)
 
     for block, start in enumerate(range(0, cfg.n_rep, BLOCK_REPS)):
         rng = np.random.default_rng(

@@ -186,7 +186,7 @@ def _tail_rows(n: int, k: int) -> tuple[float, tuple, tuple, float]:
     Below k = 4 the shift is -0.0, which leaves every A_2, zeros included.
     """
     const, rows = _expansion(n, k)
-    shift = _A2_TABLE_SHIFT / float(n) ** 2 if k >= 4 else -0.0
+    shift = _A2_TABLE_SHIFT / (float(n) * float(n)) if k >= 4 else -0.0
     return -const, rows[0][1], rows[1][1], shift
 
 

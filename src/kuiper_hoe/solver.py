@@ -248,12 +248,10 @@ def kuiper_utq(alpha: float, n: int, k: int) -> float:
 
 
 def kuiper_ltq(alpha: float, n: int, k: int) -> float:
-    """Lower tail quantile of V_n, alpha in [0, 1): 0.0 for alpha <= 0.0001,
-    else the upper tail quantile at 1 - alpha (same code path, exact duality)."""
+    """Lower tail quantile of V_n, alpha in [0, 1): the upper tail quantile at
+    1 - alpha (same code path, exact duality), so 0.0 for alpha <= 0.0001."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if alpha <= 0.0001:
-        return 0.0
     return kuiper_utq(1.0 - alpha, n, k)
 
 

@@ -118,15 +118,16 @@ class TestStephensSmallV:
 
 class TestModifiedStatistic:
     def test_zero(self):
-        assert modified_statistic(0.0, 17).t_n == 0.0
+        assert modified_statistic(0.0, 17) == 0.0
 
     def test_multiplier_n100(self):
-        m = modified_statistic(1.0, 100)
-        assert m.t_n == pytest.approx(10.0 + 0.155 + 0.024, rel=1e-12)
+        t_n = modified_statistic(1.0, 100)
+        assert type(t_n) is float
+        assert t_n == pytest.approx(10.0 + 0.155 + 0.024, rel=1e-12)
 
     def test_hand_value_n4(self):
-        m = modified_statistic(0.5, 4)
-        assert m.t_n == pytest.approx(0.5 * (2.0 + 0.155 + 0.12), rel=1e-12)
+        assert modified_statistic(0.5, 4) == pytest.approx(
+            0.5 * (2.0 + 0.155 + 0.12), rel=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from kuiper_hoe.cli import main, parse_dist_spec
-from kuiper_hoe.montecarlo import SimConfig, normal_ppf, simulate_type1
+from kuiper_hoe.montecarlo import SimConfig, simulate_type1
 from kuiper_hoe.series import cdf_kn, utp
 
 
@@ -24,7 +25,7 @@ def decile_file(tmp_path):
     """Ten values sitting exactly on the standard-normal mid-deciles."""
     path = tmp_path / "deciles.txt"
     lines = ["# standard normal mid-deciles"]
-    lines += [f"{normal_ppf((t - 0.5) / 10):.17g}" for t in range(1, 11)]
+    lines += [f"{NormalDist().inv_cdf((t - 0.5) / 10):.17g}" for t in range(1, 11)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
@@ -55,6 +56,14 @@ class TestPair:
         payload = json.loads(out)
         assert payload["c"] == pytest.approx(1.6630, abs=1e-4)
         assert payload["v"] == payload["c"] / math.sqrt(10)
+
+    @pytest.mark.parametrize("k", ["4", "5"])
+    def test_capacity_whose_square_overflows(self, capsys, k):
+        # n^2 = 1e400 lies beyond the float range; the k >= 4 tail shift
+        # over n^2 is 0 there, not an OverflowError
+        code, out, err = run_cli(capsys, "pair", "--alpha", "0.05",
+                                 "--n", "1" + "0" * 200, "--k", k)
+        assert (code, out, err) == (0, "(1.7473, 0.0000)\n", "")
 
 
 class TestQuantiles:

@@ -408,7 +408,9 @@ class TestQuantiles:
         assert kuiper_utq(0.40, 6, 3) == pytest.approx(0.4751, abs=1e-4)
 
     def test_duality_is_bit_exact(self):
-        for alpha in (0.5, 0.6, 0.8, 0.9, 0.95, 0.99):
+        # the first four lie at or next to the 0.0 guard at alpha = 1e-4
+        for alpha in (0.0, 1e-5, 1e-4, math.nextafter(1e-4, 1.0),
+                      0.5, 0.6, 0.8, 0.9, 0.95, 0.99):
             for n in (6, 20, 100):
                 for k in (1, 5):
                     assert kuiper_ltq(alpha, n, k) == kuiper_utq(1.0 - alpha, n, k)
@@ -474,6 +476,12 @@ class TestConfigValidation:
     def test_bad_alpha(self, alpha):
         with pytest.raises(ValueError):
             kuiper_pair_solver(alpha, 10, 5)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_capacity_whose_square_overflows(self, k):
+        pair = kuiper_pair_solver(0.05, 10**200, k)
+        assert pair.c == kuiper_pair_solver(0.05, 10**200, 3).c
+        assert pair.c == pytest.approx(1.7473, abs=1e-4)
 
     def test_capacity_beyond_float_range(self):
         n = 10**400
