@@ -11,13 +11,20 @@ in machine speed does not favour one side.  The temporary tree is removed
 afterwards.  Each run lasts --seconds of op time, by default the
 benchmark's own run_seconds.
 
+Per layer, the series is timed once per seed in a fresh interpreter with
+PYTHONPATH at each tree's ``src/``, again alternating which tree runs
+first: the median microseconds per call of ``cdf_kn`` and of
+``utp(truncated=True)`` over 200 c in [0.3, 3.5] x the 20 (n, k) of the
+``cdf_curve`` workload, over LAYER_REPEATS passes after a warm-up pass.
+
 The JSON written to --out holds the Python and numpy versions, numpy's
 BLAS build and the OPENBLAS_CORETYPE environment value (the last bits of
 a NumPy product can depend on the BLAS kernel), nproc, every run's
 end-to-end metrics, their median and quartiles per tree, and per metric
 the ratio of the medians, the number of pairs in which the checkout was
 better (directions from BENCHMARK.json) and whether the medians differ by
-more than the parent's interquartile range.
+more than the parent's interquartile range; the same for the per-layer
+times under ``layers``.
 """
 
 from __future__ import annotations
@@ -37,6 +44,28 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+
+LAYER_REPEATS = 7
+LAYER_SCRIPT = """
+import json, statistics, time
+import numpy as np
+from kuiper_hoe.series import cdf_kn, utp
+grid = np.linspace(0.3, 3.5, 200).tolist()
+keys = [(n, k) for n in (6, 10, 50, 1000) for k in range(1, 6)]
+calls = {"cdf_kn_us": cdf_kn,
+         "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True)}
+out = {}
+for name, f in calls.items():
+    passes = []
+    for _ in range(%d + 1):
+        start = time.perf_counter()
+        for n, k in keys:
+            for c in grid:
+                f(c, n, k)
+        passes.append((time.perf_counter() - start) / (len(keys) * len(grid)))
+    out[name] = statistics.median(passes[1:]) * 1e6
+print(json.dumps(out))
+""" % LAYER_REPEATS
 
 
 def git(*args: str) -> str:
@@ -64,6 +93,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def time_layers(tree: Path) -> dict:
+    """Median microseconds per series call, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-c", LAYER_SCRIPT], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"layer timing in {tree} exited "
+                           f"{done.returncode}: {done.stderr.strip()}")
+    return json.loads(done.stdout)
+
+
 def blas_build() -> dict:
     """numpy's BLAS as built: name, version and OpenBLAS configuration."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -78,6 +118,18 @@ def summary(values: list) -> dict:
         q1 = q3 = values[0]
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "runs": values}
+
+
+def compare(parent: dict, checkout: dict, direction: str) -> dict:
+    """How the checkout's summary of one metric stands to the parent's."""
+    old, new = parent["runs"], checkout["runs"]
+    wins = sum((b < a) if direction == "lower" else (b > a)
+               for a, b in zip(old, new))
+    return {"median_ratio": checkout["median"] / parent["median"],
+            "pairs_better": wins, "pairs": len(old),
+            "median_gap_exceeds_parent_iqr":
+                abs(checkout["median"] - parent["median"])
+                > parent["q3"] - parent["q1"]}
 
 
 def main(argv=None) -> int:
@@ -124,22 +176,22 @@ def main(argv=None) -> int:
                     for name in better}
                 entry[side]["failed"] = [r["failed"] for r in runs[side]]
                 entry[side]["attempted"] = [r["attempted"] for r in runs[side]]
-            change = {}
-            for name, direction in better.items():
-                old = entry["parent"][name]["runs"]
-                new = entry["checkout"][name]["runs"]
-                wins = sum((b < a) if direction == "lower" else (b > a)
-                           for a, b in zip(old, new))
-                old_med = entry["parent"][name]["median"]
-                new_med = entry["checkout"][name]["median"]
-                parent_iqr = entry["parent"][name]["q3"] - entry["parent"][name]["q1"]
-                change[name] = {
-                    "median_ratio": new_med / old_med,
-                    "pairs_better": wins, "pairs": len(old),
-                    "median_gap_exceeds_parent_iqr":
-                        abs(new_med - old_med) > parent_iqr}
-            entry["change"] = change
+            entry["change"] = {
+                name: compare(entry["parent"][name], entry["checkout"][name],
+                              direction)
+                for name, direction in better.items()}
             results[workload] = entry
+        timed = {side: [] for side in sides}
+        for pair in range(len(seeds)):
+            for side in (sides if pair % 2 == 0 else sides[::-1]):
+                timed[side].append(time_layers(trees[side]))
+        layers = {side: {name: summary([t[name] for t in timed[side]])
+                         for name in timed[side][0]}
+                  for side in sides}
+        layers["change"] = {
+            name: compare(layers["parent"][name], layers["checkout"][name],
+                          "lower")
+            for name in layers["parent"]}
 
     payload = {
         "command": "python scripts/bench.py " + " ".join(
@@ -156,6 +208,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "seeds": seeds,
         "workloads": results,
+        "layers": layers,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0

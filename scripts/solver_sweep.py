@@ -6,9 +6,13 @@
 Solves every cell of both methods x 310 alphas (log-spaced in
 [5e-4, 0.9995]) x 19 capacities x k = 1..5, 58,900 solves, and evaluates
 ``utp(truncated=True)`` and ``cdf_kn`` at 400 points of c in [0.3, 3.5]
-for n in {6, 10, 50, 1000} x k = 1..5.  The gof part runs ``compute_vn``
-on one seeded N(0.2, 1.1^2) sample for each of 149 capacities (200 points
-log-spaced over 1..5000, rounded, repeats dropped), under all six schemes,
+for n in {6, 10, 50, 1000} x k = 1..5.  The series-wide part evaluates
+``b_series`` for i = 0..5, ``cdf_kn`` and the full ``utp`` at 2,400 points
+of c in [0.05, 12] for n in {1, 2, 3, 6, 7, 10, 50, 1000, 10^6} x k = 1..5;
+on this grid the j sum stops after every number of terms from 0 to 10.
+The gof part runs ``compute_vn`` on one seeded N(0.2, 1.1^2) sample for
+each of 149 capacities (200 points log-spaced over 1..5000, rounded,
+repeats dropped), under all six schemes,
 against ``normal_cdf`` and against a CDF that takes Python floats only.
 The wrapper part calls ``kuiper_utq``, ``kuiper_ltq`` and ``kuiper_inv_cdf``
 at the guard levels 0, 1e-5, 1e-4 and the float after it, at 0.05, 0.5,
@@ -36,7 +40,7 @@ import numpy as np
 
 from kuiper_hoe.gof import EdfScheme, SampleSet, compute_vn, edf_probs
 from kuiper_hoe.montecarlo import SimConfig, normal_cdf, simulate_type1
-from kuiper_hoe.series import cdf_kn, utp
+from kuiper_hoe.series import b_series, cdf_kn, utp
 from kuiper_hoe.solver import (kuiper_inv_cdf, kuiper_ltq, kuiper_pair_solver,
                                kuiper_utq)
 
@@ -46,6 +50,8 @@ CAPACITIES = (*range(1, 11), 12, 15, 20, 30, 50, 100, 10**3, 10**4, 10**6)
 ORDERS = range(1, 6)
 SERIES_C = np.linspace(0.3, 3.5, 400)
 SERIES_CAPACITIES = (6, 10, 50, 1000)
+WIDE_C = np.linspace(0.05, 12.0, 2400)
+WIDE_CAPACITIES = (1, 2, 3, 6, 7, 10, 50, 1000, 10**6)
 GOF_CAPACITIES = sorted(set(np.rint(np.logspace(0.0, math.log10(5000), 200))
                             .astype(int).tolist()))
 LEVELS = (0.0, 1e-5, 1e-4, math.nextafter(1e-4, 1.0), 0.05, 0.5, 0.95, 0.9999,
@@ -95,6 +101,22 @@ def series_part() -> tuple[int, str]:
         for k in ORDERS:
             for c in SERIES_C.tolist():
                 for p in (utp(c, n, k, truncated=True), cdf_kn(c, n, k)):
+                    digest.update(p.raw.hex().encode() + b"\n")
+                    values += 1
+    return values, digest.hexdigest()
+
+
+def series_wide_part() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    values = 0
+    for i in range(6):
+        for c in WIDE_C.tolist():
+            digest.update(b_series(i, c).hex().encode() + b"\n")
+            values += 1
+    for n in WIDE_CAPACITIES:
+        for k in ORDERS:
+            for c in WIDE_C.tolist():
+                for p in (cdf_kn(c, n, k), utp(c, n, k)):
                     digest.update(p.raw.hex().encode() + b"\n")
                     values += 1
     return values, digest.hexdigest()
@@ -156,6 +178,8 @@ def main() -> None:
     print(f"gof {values} values; sha256 {gof_digest}")
     values, wrapper_digest = wrapper_part()
     print(f"wrappers {values} values; sha256 {wrapper_digest}")
+    values, wide_digest = series_wide_part()
+    print(f"series-wide {values} values; sha256 {wide_digest}")
 
 
 if __name__ == "__main__":

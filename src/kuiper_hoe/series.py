@@ -14,8 +14,13 @@ classical limit functions.
 
 The expansion is written down once, in ``_TABLE``: per order i the
 constant C_i and the polynomial P_i in c and J = j^2.  The inner sum is
-truncated at the fixed ``J_MAX = 10``; the terms beyond it add less than
-1e-25 to any B_i for c >= 0.6.  The solver's two-exponential tail form
+truncated at ``J_MAX = 10``; the terms beyond it add less than 1e-25 to
+any B_i for c >= 0.6.  The evaluation stops the sum earlier, at the first
+j where a proven bound on all the terms left (``_TAIL_BOUND``, see
+``_evaluate``) is below 2^-56 of the running total: those terms would
+round away one by one, so every result equals the 10-term sum bit for
+bit.  A term whose exponential underflows to 0 adds nothing, even where
+its polynomial has overflowed.  The solver's two-exponential tail form
 
     alpha = [1 + A_0(n,k)] + A_1(c,n,k) e^{-2c^2} + A_2(c,n,k) e^{-8c^2}
 
@@ -86,6 +91,13 @@ def _coefficients() -> np.ndarray:
 
 _COEFFICIENTS = _coefficients()
 
+# The largest sum_p |coefficient of c^p| of one (i, j) term, times the
+# number of orders and of terms: with weights <= 1 this bounds the
+# remaining j terms of any expansion over max(1, c)^(_ORDERS + 1) and the
+# first of their exponentials (see _evaluate).
+_TAIL_BOUND = J_MAX * _ORDERS * float(
+    np.abs(_COEFFICIENTS).reshape(_ORDERS, _ORDERS + 2, J_MAX).sum(axis=1).max())
+
 
 def _combine(weights: list[float]) -> tuple[float, tuple]:
     """sum_i weights[i] B_i(c) as its constant C and, per j, (j^2, the
@@ -138,11 +150,34 @@ def _horner(coeffs, c: float) -> float:
 
 
 def _evaluate(expansion: tuple[float, tuple], c: float) -> float:
-    """C + sum_j P_j(c) e^{-2 j^2 c^2}, one exp per j."""
+    """C + sum_j P_j(c) e^{-2 j^2 c^2}, one exp per j, stopped where the
+    terms left cannot change the float total.
+
+    Every weight n^(-i/2) is at most 1 and P_j has degree at most
+    _ORDERS + 1, so with m = max(1, c), |P_j(c)| <= _ORDERS * max_{i,j}
+    sum_p |coef| * m^(_ORDERS + 1); e_j = e^{-2 j^2 c^2} decreases in j, so
+    the terms from j on sum to at most _TAIL_BOUND * m^(_ORDERS + 1) * e_j.
+    The sum stops before term j once that is below 2^-56 |total|, under
+    1/8 ULP of the total: each term left, even with the rounding of its
+    Horner pass, is under the half-spacing below the total and would leave
+    it unchanged, so the result equals the full J_MAX-term sum bit for bit.
+    m^(_ORDERS + 1) is a product, which saturates to inf where float **
+    would raise; a term whose exponential is 0 (and every later one) adds
+    nothing, so an overflowed P_j never makes inf * 0 = NaN.
+    """
     total, rows = expansion
     c2 = c * c
+    m = c if c > 1.0 else 1.0
+    m3 = m * m * m
+    scale = _TAIL_BOUND * 2.0 ** 56 * (m3 * m3 * m)  # the bound over 2^-56
     for j2, coeffs in rows:
-        total += _horner(coeffs, c) * math.exp(-2.0 * j2 * c2)
+        e = math.exp(-2.0 * j2 * c2)
+        if e == 0.0 or e * scale < abs(total):
+            break
+        p = 0.0
+        for a in coeffs:
+            p = p * c + a
+        total += p * e
     return total
 
 
@@ -244,9 +279,12 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     _check_argument(c)
     if truncated:
         a0, row1, row2, shift = _tail_rows(n, k)
-        a1, a2 = -_horner(row1, c), shift - _horner(row2, c)
         c2 = c * c
-        raw = (1.0 + a0) + a1 * math.exp(-2.0 * c2) + a2 * math.exp(-8.0 * c2)
+        e1 = math.exp(-2.0 * c2)
+        raw = 1.0 + a0
+        if e1:  # else both exponentials underflow to 0 and add nothing
+            a1, a2 = -_horner(row1, c), shift - _horner(row2, c)
+            raw = raw + a1 * e1 + a2 * math.exp(-8.0 * c2)
     else:
         raw = 1.0 - _evaluate(_expansion(n, k), c)
     return Probability(raw, warning=_floor_warning(c))

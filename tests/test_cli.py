@@ -139,6 +139,16 @@ class TestCdfCommand:
         assert row["utp"] == float(utp(1.7, 5, 5))
 
 
+    def test_huge_c_prints_the_constant_limit(self, capsys):
+        # the polynomial overflows while its exponential underflows to 0;
+        # the term adds nothing instead of making the value NaN
+        code, out, _ = run_cli(capsys, "cdf", "--c", "1e60", "--n", "10",
+                               "--k", "5")
+        assert code == 0
+        assert "cdf  0.9945" in out
+        assert "utp  0.0055" in out
+
+
 class TestTable:
     def test_single_cell(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--alpha", "0.40",

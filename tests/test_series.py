@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kuiper_hoe import series
 from kuiper_hoe.series import (
     Probability,
     b_series,
@@ -344,6 +345,94 @@ class TestUtp:
         p = utp(1.5, 10, 5)
         assert isinstance(p, Probability)
         assert 0.0 <= float(p) <= 1.0
+
+
+# --------------------------------------------------------------------------
+# the early exit of the j sum
+# --------------------------------------------------------------------------
+
+SWEEP_CAPACITIES = (1, 2, 3, 6, 7, 10, 20, 50, 100, 1000, 10**6)
+SWEEP_C = np.linspace(0.05, 12.0, 4400).tolist()
+
+
+def full_sum(expansion, c):
+    """The expansion summed over all J_MAX terms, the loop before the cut."""
+    total, rows = expansion
+    c2 = c * c
+    for j2, coeffs in rows:
+        p = 0.0
+        for a in coeffs:
+            p = p * c + a
+        total += p * math.exp(-2.0 * j2 * c2)
+    return total
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize("n", SWEEP_CAPACITIES)
+    def test_bit_identical_to_full_sum(self, n):
+        for k in range(1, 6):
+            expansion = series._expansion(n, k)
+            for c in SWEEP_C:
+                assert series._evaluate(expansion, c).hex() == \
+                    full_sum(expansion, c).hex(), (n, k, c)
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_b_series_bit_identical_to_full_sum(self, i):
+        # odd orders have C = 0, so their total is tiny at large c and the
+        # cut must be relative to it
+        expansion = series._SINGLE_ORDERS[i]
+        for c in SWEEP_C:
+            assert b_series(i, c).hex() == full_sum(expansion, c).hex(), c
+
+    def test_nothing_cut_near_smallest_c(self, monkeypatch):
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(series.math, "exp", lambda x: calls.append(x) or exp(x))
+        for c in np.linspace(0.05, 0.06, 11).tolist():
+            for n, k in ((1, 5), (10, 3), (10**6, 1)):
+                calls.clear()
+                expansion = series._expansion(n, k)
+                got = series._evaluate(expansion, c)
+                assert len(calls) == series.J_MAX
+                assert got.hex() == full_sum(expansion, c).hex()
+
+    def test_sum_is_cut_at_large_c(self, monkeypatch):
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(series.math, "exp", lambda x: calls.append(x) or exp(x))
+        for c in np.linspace(2.0, 12.0, 41).tolist():
+            for n, k in ((1, 5), (6, 4), (1000, 2), (10**6, 1)):
+                calls.clear()
+                cdf_kn(c, n, k)
+                assert len(calls) < series.J_MAX, (c, n, k)
+            for i in range(6):
+                calls.clear()
+                b_series(i, c)
+                assert len(calls) < series.J_MAX, (c, i)
+
+
+class TestLargeArgument:
+    """Past c ~ 27 every exponential underflows to 0 and only the constant
+    is left, even where a polynomial overflows to inf (from c ~ 1e42 at
+    k = 5 and ~ 6e102 at k = 1), whose inf * 0 used to give NaN."""
+
+    HUGE_C = (30.0, 1e40, 1e45, 1e60, 6e102, 1e200, sys.float_info.max)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 10, 10**6])
+    def test_cdf_and_utp_tend_to_the_constant(self, n, k):
+        const = -fun_a0(n, k)
+        for c in self.HUGE_C:
+            assert cdf_kn(c, n, k).raw == const
+            assert utp(c, n, k).raw == 1.0 - const
+            assert utp(c, n, k, truncated=True).raw == 1.0 + fun_a0(n, k)
+            assert cdf_vn(c / math.sqrt(n), n, k).raw == const
+
+    def test_b_series_tends_to_its_constant(self):
+        constants = (1.0, 0.0, -1.0 / 18.0, 0.0, 1.0 / 648.0, 0.0)
+        for i, const in enumerate(constants):
+            for c in self.HUGE_C:
+                assert b_series(i, c) == const
 
 
 class TestMalformedInput:
