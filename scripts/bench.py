@@ -17,14 +17,18 @@ first: the median microseconds per call of ``cdf_kn`` and of
 ``utp(truncated=True)`` over 200 c in [0.3, 3.5] x the 20 (n, k) of the
 ``cdf_curve`` workload, over LAYER_REPEATS passes after a warm-up pass.
 
-The JSON written to --out holds the Python and numpy versions, numpy's
-BLAS build and the OPENBLAS_CORETYPE environment value (the last bits of
-a NumPy product can depend on the BLAS kernel), nproc, every run's
-end-to-end metrics, their median and quartiles per tree, and per metric
-the ratio of the medians, the number of pairs in which the checkout was
-better (directions from BENCHMARK.json) and whether the medians differ by
-more than the parent's interquartile range; the same for the per-layer
-times under ``layers``.
+End to end, each CLI command of CLI_COMMANDS runs CLI_REPEATS times per
+tree as ``python -m kuiper_hoe.cli ...`` in a fresh process, import
+included, alternating which tree runs first; ``test`` reads a generated
+200-point file.  The wall times are in milliseconds.
+
+The JSON written to --out holds the Python and numpy versions, nproc,
+every run's end-to-end metrics, their median and quartiles per tree, and
+per metric the ratio of the medians, the number of pairs in which the
+checkout was better (directions from BENCHMARK.json) and whether the
+medians differ by more than the parent's interquartile range; the same
+for the per-layer times under ``layers`` and the CLI wall times under
+``cli``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +71,16 @@ for name, f in calls.items():
     out[name] = statistics.median(passes[1:]) * 1e6
 print(json.dumps(out))
 """ % LAYER_REPEATS
+
+
+CLI_REPEATS = 9
+# Timed CLI commands; {sample} is the generated 200-point data file.
+CLI_COMMANDS = {
+    "pair": "pair --alpha 0.05 --n 10 --k 5",
+    "table": "table --alpha 0.05",
+    "test": "test --file {sample} --dist normal(0,1)",
+    "simulate": "simulate --n 10 --nrep 1000",
+}
 
 
 def git(*args: str) -> str:
@@ -104,11 +119,17 @@ def time_layers(tree: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def blas_build() -> dict:
-    """numpy's BLAS as built: name, version and OpenBLAS configuration."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {key: blas.get(key)
-            for key in ("name", "version", "openblas configuration")}
+def time_cli(tree: Path, argv: list) -> float:
+    """Wall time in ms of one CLI process, import included."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "kuiper_hoe.cli", *argv],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if done.returncode not in (0, 1):  # 1: the test rejected
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited "
+                           f"{done.returncode}: {done.stderr.strip()}")
+    return elapsed * 1e3
 
 
 def summary(values: list) -> dict:
@@ -153,7 +174,7 @@ def main(argv=None) -> int:
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="kuiper-bench-") as tmp:
-        trees = {"parent": Path(tmp), "checkout": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "checkout": ROOT}
         extract(args.parent, trees["parent"])
         pair = 0
         for workload in workloads:
@@ -192,14 +213,29 @@ def main(argv=None) -> int:
             name: compare(layers["parent"][name], layers["checkout"][name],
                           "lower")
             for name in layers["parent"]}
+        sample = Path(tmp) / "sample.txt"
+        values = np.random.default_rng(0).normal(size=200).tolist()
+        sample.write_text("".join(f"{x!r}\n" for x in values))
+        walls = {name: {side: [] for side in sides} for name in CLI_COMMANDS}
+        for repeat in range(CLI_REPEATS):
+            for side in (sides if repeat % 2 == 0 else sides[::-1]):
+                for name, command in CLI_COMMANDS.items():
+                    argv = command.format(sample=sample).split()
+                    walls[name][side].append(time_cli(trees[side], argv))
+        cli = {}
+        for name, by_side in walls.items():
+            cli[name] = {side: summary(by_side[side]) for side in sides}
+            cli[name]["change"] = compare(cli[name]["parent"],
+                                          cli[name]["checkout"], "lower")
+            print(f"cli {name}: " + " ".join(
+                f"{side}={cli[name][side]['median']:.1f} ms" for side in sides),
+                file=sys.stderr, flush=True)
 
     payload = {
         "command": "python scripts/bench.py " + " ".join(
             sys.argv[1:] if argv is None else argv),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": blas_build(),
-        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "parent_rev": git("rev-parse", args.parent),
@@ -209,6 +245,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "workloads": results,
         "layers": layers,
+        "cli": cli,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0

@@ -27,17 +27,27 @@ into the solver digest, a failed one its exception type, message,
 every warning it emitted; each series value feeds ``raw.hex()``, each
 statistic the ``hex()`` of D+, D- and V_n, each quantile its ``hex()`` or
 its exception type and message, each position its ``hex()``, and each
-simulation its rejection counts.  Two revisions that print the same lines
-give the same numbers on this grid.
+simulation its rejection counts.  The cli part runs a fixed list of
+text-format ``cli.main`` calls (the README examples, ``table`` at the
+seven reference levels and at 0.001, two simulations, ``test`` on a
+seeded file, and calls that exit 2 or 3) and hashes each one's argv,
+stdout, stderr and exit code, with its temporary directory written as
+``<tmp>``.  Two revisions that print the same lines give the same numbers
+on this grid.
 """
 
 import collections
+import contextlib
 import hashlib
+import io
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 
+from kuiper_hoe.cli import main as cli_main
 from kuiper_hoe.gof import EdfScheme, SampleSet, compute_vn, edf_probs
 from kuiper_hoe.montecarlo import SimConfig, normal_cdf, simulate_type1
 from kuiper_hoe.series import b_series, cdf_kn, utp
@@ -61,6 +71,38 @@ QUANTILE_KEYS = ((1, 1), (6, 3), (10, 5), (100, 4), (10**6, 2))
 SIM_CASES = ((1, 0.2, (2, 3, 4, 5)), (2, 0.05, (2, 3, 4, 5)),
              (10, 0.05, tuple(ORDERS)), (180, 0.05, tuple(ORDERS)))
 SIM_SEEDS = (0, 7, 2024)
+# Text-format CLI calls; {tmp} is the directory of the files CLI_FILES names.
+CLI_CALLS = (
+    "pair --alpha 0.01 --n 10 --k 1",
+    "utq --alpha 0.40 --n 6 --k 3",
+    "ltq --alpha 0.95 --n 10 --k 1",
+    "invcdf --x 0.95 --n 10 --k 1",
+    "cdf --v 0.5080 --n 10 --k 1",
+    *(f"table --alpha {alpha}" for alpha in
+      ("0.01", "0.05", "0.10", "0.15", "0.20", "0.30", "0.40", "0.001")),
+    "test --file {tmp}/data.txt --dist normal(0,1) --alpha 0.05 --k 5",
+    "test --file {tmp}/data.csv --csv-column 1 --dist normal(0,1)",
+    "simulate --n 10 --k 1,5 --nrep 10000 --seed 42 --comparators ks,stephens",
+    "simulate --n 20 --nrep 500 --seed 3 --scheme stephens_mixed",
+    "pair --alpha 0.0026 --n 5 --k 1 --method direct",
+    "utq --alpha 1.5 --n 10 --k 1",
+    "cdf --v 0.5 --n 0 --k 1",
+    "table --alpha 0.10 --n 0,10",
+    "test --file {tmp}/empty.csv --csv-column 1 --dist normal(0,1)",
+    "test --file {tmp}/data.csv --csv-column score --dist normal(0,1)",
+    "test --file {tmp}/data.csv --csv-column 2 --dist normal(0,1)",
+    "test --file {tmp}/text.csv --csv-column 1 --dist normal(0,1)",
+    "test --file {tmp}/header.csv --csv-column 1 --dist normal(0,1)",
+)
+CLI_SAMPLE = np.random.default_rng(0).normal(0.2, 1.1, 200).tolist()
+CLI_FILES = {
+    "data.txt": "".join(f"{x!r}\n" for x in CLI_SAMPLE),
+    "data.csv": "id,value\n" + "".join(f"{i},{x!r}\n"
+                                       for i, x in enumerate(CLI_SAMPLE)),
+    "empty.csv": "",
+    "text.csv": "id,value\n1,0.5\n2,abc\n",
+    "header.csv": "id,value\n",
+}
 
 
 def scalar_only_cdf(x: float) -> float:
@@ -167,6 +209,21 @@ def wrapper_part() -> tuple[int, str]:
     return values, digest.hexdigest()
 
 
+def cli_part() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CLI_FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for call in CLI_CALLS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(call.format(tmp=tmp).split())
+            record = f"$ {call}\n{out.getvalue()}{err.getvalue()}exit {code}\n"
+            digest.update(record.replace(tmp, "<tmp>").encode())
+    return len(CLI_CALLS), digest.hexdigest()
+
+
 def main() -> None:
     counts, solver_digest = solver_part()
     print(f"solver {sum(counts.values())} solves: "
@@ -180,6 +237,8 @@ def main() -> None:
     print(f"wrappers {values} values; sha256 {wrapper_digest}")
     values, wide_digest = series_wide_part()
     print(f"series-wide {values} values; sha256 {wide_digest}")
+    calls, cli_digest = cli_part()
+    print(f"cli {calls} calls; sha256 {cli_digest}")
 
 
 if __name__ == "__main__":

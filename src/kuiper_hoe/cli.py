@@ -20,7 +20,7 @@ import numpy as np
 
 from .gof import EdfScheme, SampleSet, kuiper_test
 from .montecarlo import SimConfig, normal_cdf, simulate_type1
-from .series import _check_capacity, cdf_kn, utp
+from .series import _scale_v, cdf_kn, utp
 from .solver import (ConvergenceError, FixedPointDomainError, kuiper_inv_cdf,
                      kuiper_ltq, kuiper_pair_solver, kuiper_utq)
 
@@ -203,8 +203,7 @@ def cmd_quantile(args) -> int:
 def cmd_cdf(args) -> int:
     if (args.v is None) == (args.c is None):
         raise ValueError("give exactly one of --v or --c")
-    _check_capacity(args.n)  # before the sqrt(n) of --v
-    c = args.c if args.v is None else args.v * math.sqrt(args.n)
+    c = args.c if args.v is None else _scale_v(args.v, args.n)
     p = cdf_kn(c, args.n, args.k)
     tail = utp(c, args.n, args.k)
     row = {"n": args.n, "k": args.k, "c": c, "cdf": float(p), "utp": float(tail)}

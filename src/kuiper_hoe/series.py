@@ -13,8 +13,14 @@ law is never below about 1/(18n).  ``B_0`` and ``B_1`` are Kuiper's
 classical limit functions.
 
 The expansion is written down once, in ``_TABLE``: per order i the
-constant C_i and the polynomial P_i in c and J = j^2.  The inner sum is
-truncated at ``J_MAX = 10``; the terms beyond it add less than 1e-25 to
+constant C_i and the polynomial P_i in c and J = j^2, and ``_ROWS`` holds
+it as floats, per order and j the coefficients of factor_i P_i(c, j^2).
+An (n, k) expansion weights order i by n^(-i/2) and adds the orders in
+index order, one rounding per step: no BLAS product, so its bits do not
+depend on the BLAS kernel or the Python version.  They still depend on
+libm's ``exp``, ``log`` and ``erfc`` and on NumPy's axis-0 reduce adding
+in index order, which a test checks against a plain loop.  The inner sum
+is truncated at ``J_MAX = 10``; the terms beyond it add less than 1e-25 to
 any B_i for c >= 0.6.  The evaluation stops the sum earlier, at the first
 j where a proven bound on all the terms left (``_TAIL_BOUND``, see
 ``_evaluate``) is below 2^-56 of the running total: those terms would
@@ -79,34 +85,39 @@ _ORDERS = len(_TABLE)
 _J2 = tuple(float(j * j) for j in range(1, J_MAX + 1))
 
 
-def _coefficients() -> np.ndarray:
-    """[i, p * J_MAX + j - 1]: the coefficient of c^p in factor_i * P_i(c, j^2)."""
-    j2 = np.arange(1, J_MAX + 1, dtype=np.int64) ** 2
-    exact = np.zeros((_ORDERS, _ORDERS + 2, J_MAX), dtype=np.int64)
-    for i, (_, _, poly) in enumerate(_TABLE):
-        for (p, q), coef in poly.items():
-            exact[i, p] += coef * j2 ** q
-    return exact.reshape(_ORDERS, -1) * np.array([row[1] for row in _TABLE])[:, None]
+def _rows() -> np.ndarray:
+    """[i, j - 1, d]: the coefficient of c^(_ORDERS + 1 - d) in
+    factor_i * P_i(c, j^2), an exact integer times factor_i."""
+    rows = np.zeros((_ORDERS, J_MAX, _ORDERS + 2))
+    for i, (_, factor, poly) in enumerate(_TABLE):
+        for (p, q), coef in poly.items():  # integers below 2^53 add exactly
+            rows[i, :, _ORDERS + 1 - p] += [coef * j ** (2 * q)
+                                            for j in range(1, J_MAX + 1)]
+        rows[i] *= factor
+    return rows
 
 
-_COEFFICIENTS = _coefficients()
+_ROWS = _rows()
 
 # The largest sum_p |coefficient of c^p| of one (i, j) term, times the
 # number of orders and of terms: with weights <= 1 this bounds the
 # remaining j terms of any expansion over max(1, c)^(_ORDERS + 1) and the
 # first of their exponentials (see _evaluate).
-_TAIL_BOUND = J_MAX * _ORDERS * float(
-    np.abs(_COEFFICIENTS).reshape(_ORDERS, _ORDERS + 2, J_MAX).sum(axis=1).max())
+_TAIL_BOUND = J_MAX * _ORDERS * max(
+    map(math.fsum, np.abs(_ROWS).reshape(-1, _ORDERS + 2).tolist()))
 
 
 def _combine(weights: list[float]) -> tuple[float, tuple]:
     """sum_i weights[i] B_i(c) as its constant C and, per j, (j^2, the
-    coefficients of its polynomial in c from the highest power down)."""
-    powers = len(weights) + 2  # B_i has degree i + 2 in c
-    poly = np.array(weights) @ _COEFFICIENTS[:len(weights), :powers * J_MAX]
-    const = sum(w * row[0] for w, row in zip(weights, _TABLE))
-    rows = map(tuple, poly.reshape(powers, J_MAX)[::-1].T.tolist())
-    return const, tuple(zip(_J2, rows))
+    coefficients of its polynomial in c from the highest power down), both
+    added over i in index order, one rounding per step."""
+    w = len(weights)  # order i has degree i + 2 in c: keep w + 2 powers
+    terms = np.array(weights)[:, None, None] * _ROWS[:w, :, _ORDERS - w:]
+    poly = np.add.reduce(terms, axis=0)
+    const = 0.0
+    for weight, row in zip(weights, _TABLE):
+        const += weight * row[0]
+    return const, tuple(zip(_J2, map(tuple, poly.tolist())))
 
 
 _SINGLE_ORDERS = tuple(_combine([0.0] * i + [1.0]) for i in range(_ORDERS))
@@ -263,10 +274,22 @@ def cdf_kn(c: float, n: int, k: int) -> Probability:
     return Probability(_evaluate(_expansion(n, k), c), warning=_floor_warning(c))
 
 
+def _scale_v(v: float, n: int) -> float:
+    """c = v * sqrt(n), after checking n and v; a v whose c overflows is
+    rejected by a message naming v and n."""
+    _check_capacity(n)
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"statistic argument v must be positive and finite, got {v}")
+    c = v * math.sqrt(n)
+    if c == math.inf:
+        raise ValueError(f"statistic argument v={v} overflows c = v * sqrt(n) "
+                         f"at n={n}")
+    return c
+
+
 def cdf_vn(v: float, n: int, k: int) -> Probability:
     """CDF Pr{V_n <= v}, evaluated as cdf_kn(v*sqrt(n), n, k)."""
-    _check_capacity(n)
-    return cdf_kn(v * math.sqrt(n), n, k)
+    return cdf_kn(_scale_v(v, n), n, k)
 
 
 def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:

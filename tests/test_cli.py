@@ -65,6 +65,13 @@ class TestPair:
                                  "--n", "1" + "0" * 200, "--k", k)
         assert (code, out, err) == (0, "(1.7473, 0.0000)\n", "")
 
+    def test_nonconvergence_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "pair", "--alpha", "0.0026", "--n", "5",
+                                 "--k", "1", "--method", "direct")
+        assert (code, out) == (3, "")
+        assert err == ("error: no convergence after 200 updates: last iterate "
+                       "1.8295751, last distance 0.0006072\n")
+
 
 class TestQuantiles:
     def test_utq(self, capsys):
@@ -128,6 +135,17 @@ class TestCdfCommand:
         assert err == f"error: sample capacity n must be an integer >= 1, got {n}\n"
 
 
+    @pytest.mark.parametrize("v, message", [
+        ("1e308", "statistic argument v=1e+308 overflows c = v * sqrt(n) "
+                  "at n=1000000"),
+        ("nan", "statistic argument v must be positive and finite, got nan"),
+        ("-0.5", "statistic argument v must be positive and finite, got -0.5"),
+    ], ids=["overflowing-v", "nan-v", "negative-v"])
+    def test_bad_v_is_named(self, capsys, v, message):
+        code, out, err = run_cli(capsys, "cdf", "--v", v, "--n", "1000000",
+                                 "--k", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_c_evaluates_cdf_and_utp_at_c(self, capsys):
         # c / sqrt(n) * sqrt(n) is not 1.7 in floats at n = 5
         code, out, _ = run_cli(capsys, "cdf", "--c", "1.7", "--n", "5",
@@ -180,6 +198,21 @@ class TestTable:
         assert cell[6, 5][1] == pytest.approx(0.6145, abs=1e-4)
         for (n, _), (c, v) in cell.items():
             assert v == c / math.sqrt(n)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_unreachable_cell(self, capsys, fmt):
+        # order 2 cannot reach alpha = 0.001 at n = 10; order 1 can
+        code, out, _ = run_cli(capsys, "table", "--alpha", "0.001", "--n", "10",
+                               "--k", "1,2", "--format", fmt)
+        assert code == 0
+        if fmt == "table":
+            assert out.splitlines()[-1].split() == ["10", "(2.1087,", "0.6668)", "x"]
+        elif fmt == "csv":
+            assert out.splitlines()[-1] == "0.001,10,2,,"
+        else:
+            reached, unreached = json.loads(out)["cells"]
+            assert reached["c"] == pytest.approx(2.1087, abs=1e-4)
+            assert unreached == {"n": 10, "k": 2, "c": None, "v": None}
 
     def test_default_grid_shape(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--alpha", "0.05",
@@ -266,6 +299,36 @@ class TestTestCommand:
                                "--dist", "uniform(0,1)", "--alpha", "0.05")
         assert code == 0
         assert "v_n         0.1000" in out
+
+    def test_csv_column_by_index_skips_one_header_row(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,value\n1,0.1\n\n2,0.7\n3,0.4\n4,0.9\n5,0.3\n",
+                        encoding="utf-8")
+        code, out, _ = run_cli(capsys, "test", "--file", str(path),
+                               "--csv-column", "1", "--dist", "uniform(0,1)")
+        assert code == 0
+        assert "n           5" in out
+        assert "v_n         0.3000" in out
+
+    @pytest.mark.parametrize("text, column, message", [
+        ("", "1", "{path}: empty CSV file"),
+        ("id,value\n1,0.1\n", "score",
+         "{path}: no column named 'score' in header ['id', 'value']"),
+        ("id,value\n1,0.1\n2\n", "1", "{path}:3: row has no column 1"),
+        ("id,value\n1,0.1\n2,abc\n", "1", "{path}:3: not a number: 'abc'"),
+        ("id,value\n1,abc\n", "value", "{path}:2: not a number: 'abc'"),
+        ("id,value\n\n", "1", "{path}: no usable values in column '1'"),
+        ("id,value\n", "value", "{path}: no usable values in column 'value'"),
+    ], ids=["empty-file", "unknown-name", "short-row", "text-after-row-1",
+            "text-under-a-name", "index-header-only", "name-header-only"])
+    def test_csv_column_errors_exit_2(self, capsys, tmp_path, text, column,
+                                      message):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "test", "--file", str(path),
+                                 "--csv-column", column, "--dist", "uniform(0,1)")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(path=path)}\n"
 
     def test_custom_cdf_table(self, capsys, tmp_path):
         cdf_path = tmp_path / "cdf.txt"

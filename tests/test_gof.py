@@ -286,6 +286,15 @@ class TestKuiperTest:
         with pytest.raises(ValueError):
             kuiper_test(SampleSet((0.5,)), identity, alpha=1.2)
 
+    def test_zero_statistic_has_p_value_1(self):
+        # under scheme0 the points t/8 sit exactly on their positions
+        result = kuiper_test(SampleSet(range(1, 9)), lambda x: x / 8,
+                             scheme=EdfScheme.SCHEME0)
+        assert (result.d_plus, result.d_minus, result.v_n) == (0.0, 0.0, 0.0)
+        assert result.p_value == 1.0 and result.p_value.raw == 1.0
+        assert not result.p_value.clamped and result.p_value.warning is None
+        assert not result.reject
+
     def test_p_value_super_uniform_under_null(self, vn_mc):
         # with the t/n scheme the statistic is stochastically smaller than
         # the exact one, so rejection by p <= alpha stays below alpha

@@ -149,6 +149,12 @@ class TestBlockLayout:
                         scheme=scheme, comparators=("ks", "stephens"))
         assert simulate_type1(cfg).rejections == _reference_rejections(cfg)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, 1.5, math.nan])
+    def test_alpha_must_lie_in_the_open_unit_interval(self, alpha):
+        with pytest.raises(ValueError) as err:
+            SimConfig(n=10, alpha=alpha)
+        assert str(err.value) == f"alpha must be in (0, 1), got {alpha}"
+
     def test_workers_accepted_but_validated(self):
         with pytest.raises(ValueError):
             SimConfig(n=10, workers=0)

@@ -1,7 +1,11 @@
 """Tests for the coefficient series, the CDF/UTP evaluators, and the
 truncated coefficient blocks."""
 
+import functools
+import hashlib
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -411,6 +415,83 @@ class TestEarlyExit:
                 assert len(calls) < series.J_MAX, (c, i)
 
 
+@functools.cache
+def reference_entries():
+    """[i][j - 1][p]: factor_i times the exact integer coefficient of c^p in
+    P_i(c, j^2)."""
+    entries = []
+    for _, factor, poly in series._TABLE:
+        per_j = []
+        for j in range(1, series.J_MAX + 1):
+            exact = [0] * (len(series._TABLE) + 2)
+            for (p, q), coef in poly.items():
+                exact[p] += coef * j ** (2 * q)
+            per_j.append([factor * a for a in exact])
+        entries.append(per_j)
+    return entries
+
+
+def reference_expansion(n, k):
+    """The order-k expansion at n, added left to right in plain Python: per
+    j and power of c, sum_i w_i * entry_i, and the constant sum_i w_i C_i,
+    each from 0.0 in index order."""
+    n = float(n)
+    root = math.sqrt(n)
+    weights = [1.0 / p for p in (1.0, root, n, n * root, n * n, n * n * root)[:k + 1]]
+    const = 0.0
+    for w, (c_i, _, _) in zip(weights, series._TABLE):
+        const += w * c_i
+    rows = []
+    for j, per_order in enumerate(zip(*reference_entries()), start=1):
+        coeffs = []
+        for p in range(k + 2, -1, -1):
+            total = 0.0
+            for w, entries in zip(weights, per_order):
+                total += w * entries[p]
+            coeffs.append(total)
+        rows.append((float(j * j), tuple(coeffs)))
+    return const, tuple(rows)
+
+
+def expansion_hex(expansion):
+    const, rows = expansion
+    return [const.hex()] + [" ".join(map(float.hex, (j2, *coeffs)))
+                            for j2, coeffs in rows]
+
+
+def expansion_digest():
+    """sha256 of every (n, k) expansion for n = 1..2000, k = 1..5."""
+    digest = hashlib.sha256()
+    for n in range(1, 2001):
+        for k in range(1, 6):
+            digest.update("\n".join(expansion_hex(series._expansion(n, k)))
+                          .encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestFixedOrderSum:
+    """The expansion adds its orders in index order, one rounding per step,
+    so its bits depend neither on the BLAS kernel nor on how the Python
+    version sums floats."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_equals_left_to_right_reference(self, k):
+        for n in range(1, 2001):
+            assert expansion_hex(series._expansion(n, k)) == \
+                expansion_hex(reference_expansion(n, k)), (n, k)
+
+    def test_same_digest_under_another_blas_kernel(self):
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(series.__file__)))
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                   PYTHONPATH=os.pathsep.join([src, tests]))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "from test_series import expansion_digest; print(expansion_digest())"],
+            env=env, capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == expansion_digest()
+
+
 class TestLargeArgument:
     """Past c ~ 27 every exponential underflows to 0 and only the constant
     is left, even where a polynomial overflows to inf (from c ~ 1e42 at
@@ -481,6 +562,20 @@ class TestMalformedInput:
         with pytest.raises(ValueError) as err:
             cdf_vn(0.5, n, 1)
         assert str(err.value) == f"sample capacity n must be an integer >= 1, got {n!r}"
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_cdf_vn_names_a_bad_v(self, v):
+        with pytest.raises(ValueError) as err:
+            cdf_vn(v, 10, 1)
+        assert str(err.value) == ("statistic argument v must be positive and "
+                                  f"finite, got {v}")
+
+    def test_cdf_vn_names_the_v_whose_c_overflows(self):
+        with pytest.raises(ValueError) as err:
+            cdf_vn(1e308, 10**6, 1)
+        assert str(err.value) == ("statistic argument v=1e+308 overflows "
+                                  "c = v * sqrt(n) at n=1000000")
+        assert cdf_vn(1e308, 1, 1).raw == cdf_kn(1e308, 1, 1).raw
 
     def test_capacity_beyond_float_range_raises(self):
         # float(n) in the expansion would raise OverflowError

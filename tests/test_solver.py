@@ -400,6 +400,12 @@ class TestQuantiles:
         assert kuiper_utq(0.99995, 10, 1) == 0.0
         assert kuiper_utq(1.0, 7, 3) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.05, 1.5, math.inf, math.nan])
+    def test_utq_rejects_alpha_outside_half_open_interval(self, alpha):
+        with pytest.raises(ValueError) as err:
+            kuiper_utq(alpha, 10, 1)
+        assert str(err.value) == f"alpha must be in (0, 1], got {alpha}"
+
     def test_ltq_guard(self):
         assert kuiper_ltq(0.00005, 10, 1) == 0.0
 
