@@ -23,12 +23,13 @@ included, alternating which tree runs first; ``test`` reads a generated
 200-point file.  The wall times are in milliseconds.
 
 The JSON written to --out holds the Python and numpy versions, nproc,
-every run's end-to-end metrics, their median and quartiles per tree, and
-per metric the ratio of the medians, the number of pairs in which the
-checkout was better (directions from BENCHMARK.json) and whether the
-medians differ by more than the parent's interquartile range; the same
-for the per-layer times under ``layers`` and the CLI wall times under
-``cli``.
+every run's end-to-end metrics, their median, quartiles and minimum per
+tree (for a time, the minimum is the run least disturbed by other load),
+and per metric the ratios of the medians and of the minima, the number of
+pairs in which the checkout was better (directions from BENCHMARK.json)
+and whether the medians differ by more than the parent's interquartile
+range; the same for the per-layer times under ``layers`` and the CLI wall
+times under ``cli``.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def summary(values: list) -> dict:
     else:
         q1 = q3 = values[0]
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
-            "runs": values}
+            "min": min(values), "runs": values}
 
 
 def compare(parent: dict, checkout: dict, direction: str) -> dict:
@@ -147,6 +148,7 @@ def compare(parent: dict, checkout: dict, direction: str) -> dict:
     wins = sum((b < a) if direction == "lower" else (b > a)
                for a, b in zip(old, new))
     return {"median_ratio": checkout["median"] / parent["median"],
+            "min_ratio": checkout["min"] / parent["min"],
             "pairs_better": wins, "pairs": len(old),
             "median_gap_exceeds_parent_iqr":
                 abs(checkout["median"] - parent["median"])
@@ -220,8 +222,8 @@ def main(argv=None) -> int:
         for repeat in range(CLI_REPEATS):
             for side in (sides if repeat % 2 == 0 else sides[::-1]):
                 for name, command in CLI_COMMANDS.items():
-                    argv = command.format(sample=sample).split()
-                    walls[name][side].append(time_cli(trees[side], argv))
+                    walls[name][side].append(time_cli(
+                        trees[side], command.format(sample=sample).split()))
         cli = {}
         for name, by_side in walls.items():
             cli[name] = {side: summary(by_side[side]) for side in sides}

@@ -83,11 +83,8 @@ def stephens_cdf_small_v(v: float, n: int) -> Probability:
         if x <= 0.0:
             return Probability(0.0)
         return Probability(math.exp(math.lgamma(n + 1) + (n - 1) * math.log(x)))
-    disc = (w - 1.0) ** 2 - 2.0 * (w - 2.0) ** 2
-    if disc < 0.0:
-        raise ValueError(f"complex quadratic roots: discriminant {disc:.6g} < 0 "
-                         f"at v={v}, n={n}")
-    s = math.sqrt(disc)
+    # the discriminant is 2 - (w - 3)^2 >= 1 for w in (2, 3]
+    s = math.sqrt((w - 1.0) ** 2 - 2.0 * (w - 2.0) ** 2)
     t1 = ((w - 1.0) - s) / 2.0
     t2 = ((w - 1.0) + s) / 2.0
     prefactor = math.exp(math.lgamma(n) - (n - 2) * math.log(n))

@@ -146,7 +146,7 @@ def read_sample_file(path: str, csv_column: str | None = None) -> list:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty CSV file")
-    if csv_column.lstrip("-").isdigit():
+    if csv_column.isdecimal():  # "-1" and "²" are header names
         idx = int(csv_column)
         start = 0
     else:

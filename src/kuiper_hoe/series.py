@@ -33,8 +33,10 @@ its polynomial has overflowed.  The solver's two-exponential tail form
 is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
 exception: the published critical-value tables were computed with a
 k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
-series value, and ``_tail_rows`` keeps it so that ``fun_aj``, the truncated
-``utp`` and the solver reproduce those tables.
+series value.  ``_expansion`` caches per (n, k) C, the rows and the tail
+record built once from them, the coefficient pairs of (-A_1, -A_2) and
+that shift, so that ``fun_aj``, the truncated ``utp`` and the solver
+reproduce those tables.
 """
 
 from __future__ import annotations
@@ -140,27 +142,25 @@ def _check_argument(c: float) -> None:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
-def _expansion(n: int, k: int) -> tuple[float, tuple]:
+def _expansion(n: int, k: int) -> tuple[float, tuple, tuple, float]:
     """The order-k expansion at capacity n, its orders weighted by n^(-i/2),
-    after checking (n, k) on a cache miss; typed=True keeps True, 10.0 and
-    np.float64(10.0) out of the entries of 1 and 10, which they hash alike."""
+    as (C, rows, pairs, shift): per power of c from the highest down the
+    coefficients of (-A_1, -A_2), and the shift added to A_2 (-0.0 below
+    k = 4, which leaves every A_2, zeros included).  (n, k) is checked on a
+    cache miss; typed=True keeps True, 10.0 and np.float64(10.0) out of the
+    entries of 1 and 10, which they hash alike."""
     _check_capacity(n)
     if not _is_integer(k) or not 1 <= k <= 5:
         raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")
     n = float(n)  # a NumPy integer n would overflow in n * n
     root = math.sqrt(n)
     powers = (1.0, root, n, n * root, n * n, n * n * root)
-    return _combine([1.0 / p for p in powers[:k + 1]])
+    const, rows = _combine([1.0 / p for p in powers[:k + 1]])
+    shift = _A2_TABLE_SHIFT / (n * n) if k >= 4 else -0.0
+    return const, rows, tuple(zip(rows[0][1], rows[1][1])), shift
 
 
-def _horner(coeffs, c: float) -> float:
-    total = 0.0
-    for a in coeffs:
-        total = total * c + a
-    return total
-
-
-def _evaluate(expansion: tuple[float, tuple], c: float) -> float:
+def _evaluate(expansion: tuple, c: float) -> float:
     """C + sum_j P_j(c) e^{-2 j^2 c^2}, one exp per j, stopped where the
     terms left cannot change the float total.
 
@@ -176,7 +176,7 @@ def _evaluate(expansion: tuple[float, tuple], c: float) -> float:
     would raise; a term whose exponential is 0 (and every later one) adds
     nothing, so an overflowed P_j never makes inf * 0 = NaN.
     """
-    total, rows = expansion
+    total, rows = expansion[:2]
     c2 = c * c
     m = c if c > 1.0 else 1.0
     m3 = m * m * m
@@ -225,21 +225,20 @@ def b_series(i: int, c: float) -> float:
     return _evaluate(_SINGLE_ORDERS[i], c)
 
 
-def _tail_rows(n: int, k: int) -> tuple[float, tuple, tuple, float]:
-    """A_0, the rows of -A_1 and -A_2 (coefficients of c from the highest
-    power down) and the shift added to A_2, of the two-exponential tail form.
-
-    Below k = 4 the shift is -0.0, which leaves every A_2, zeros included.
-    """
-    const, rows = _expansion(n, k)
-    shift = _A2_TABLE_SHIFT / (float(n) * float(n)) if k >= 4 else -0.0
-    return -const, rows[0][1], rows[1][1], shift
-
-
 def fun_a0(n: int, k: int) -> float:
     """Constant coefficient A_0(n, k) = -sum_{i<=k} C_i / n^(i/2) of the
     two-exponential tail form."""
     return -_expansion(n, k)[0]
+
+
+def _tail_coefficients(expansion: tuple, c: float) -> tuple[float, float]:
+    """(A_1(c), A_2(c)) of the tail form, one Horner pass over the pairs."""
+    _, _, pairs, shift = expansion
+    h1 = h2 = 0.0
+    for p1, p2 in pairs:
+        h1 = h1 * c + p1
+        h2 = h2 * c + p2
+    return -h1, shift - h2
 
 
 def fun_aj(j: int, c: float, n: int, k: int) -> float:
@@ -252,8 +251,7 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     if not _is_integer(j) or j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
     _check_argument(c)
-    _, row1, row2, shift = _tail_rows(n, k)
-    return -_horner(row1, c) if j == 1 else shift - _horner(row2, c)
+    return _tail_coefficients(_expansion(n, k), c)[j - 1]
 
 
 def _floor_warning(c: float) -> str | None:
@@ -301,12 +299,12 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     """
     _check_argument(c)
     if truncated:
-        a0, row1, row2, shift = _tail_rows(n, k)
+        expansion = _expansion(n, k)
         c2 = c * c
         e1 = math.exp(-2.0 * c2)
-        raw = 1.0 + a0
+        raw = 1.0 - expansion[0]
         if e1:  # else both exponentials underflow to 0 and add nothing
-            a1, a2 = -_horner(row1, c), shift - _horner(row2, c)
+            a1, a2 = _tail_coefficients(expansion, c)
             raw = raw + a1 * e1 + a2 * math.exp(-8.0 * c2)
     else:
         raw = 1.0 - _evaluate(_expansion(n, k), c)

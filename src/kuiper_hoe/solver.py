@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .series import _check_argument, _tail_rows
+from .series import _check_argument, _expansion
 
 __all__ = [
     "KuiperPair",
@@ -100,11 +100,11 @@ def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:
 def _residual(alpha: float, n: int, k: int):
     """f_nlm at (alpha, n, k) as a function of c (f_ctm with contraction=True),
     checks and messages kept; the expansion, gap and log(gap) are taken once."""
-    a0, row1, row2, shift = _tail_rows(n, k)
-    log_gap = math.log(_alpha_gap(alpha, a0, n, k))
-    pairs = tuple(zip(row1, row2))  # one Horner pass over both rows
+    const, _, pairs, shift = _expansion(n, k)
+    log_gap = math.log(_alpha_gap(alpha, -const, n, k))
 
     def f_nlm(c, contraction=False):
+        # series._tail_coefficients inlined: its call would add 5-15 % to `table`
         h1 = h2 = 0.0
         for p1, p2 in pairs:
             h1 = h1 * c + p1

@@ -88,6 +88,10 @@ class TestStephensSmallV:
         for n in (2, 5, 9):
             assert float(stephens_cdf_small_v(1.0 / n, n)) == 0.0
 
+    def test_single_point_sample(self):
+        # V_1 = 1 always, and [1, 3] is the domain at n = 1
+        assert float(stephens_cdf_small_v(1.0, 1)) == 1.0
+
     def test_branch_one_hand_value(self):
         assert float(stephens_cdf_small_v(0.55, 3)) == pytest.approx(
             6.0 * (0.55 - 1.0 / 3.0) ** 2, rel=1e-12)

@@ -157,6 +157,21 @@ class TestCdfCommand:
         assert row["utp"] == float(utp(1.7, 5, 5))
 
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_c_below_trust_floor_carries_the_warning(self, capsys, fmt):
+        warning = ("c=0.5 is below the series trust floor 0.6; the asymptotic "
+                   "expansion is unreliable there")
+        code, out, _ = run_cli(capsys, "cdf", "--c", "0.5", "--n", "10",
+                               "--k", "5", "--format", fmt)
+        assert code == 0
+        if fmt == "table":
+            assert out.splitlines()[-1] == f"warning  {warning}"
+        elif fmt == "csv":
+            (row,) = csv.DictReader(io.StringIO(out))
+            assert row["warning"] == warning
+        else:
+            assert json.loads(out)["warning"] == warning
+
     def test_huge_c_prints_the_constant_limit(self, capsys):
         # the polynomial overflows while its exponential underflows to 0;
         # the term adds nothing instead of making the value NaN
@@ -270,6 +285,30 @@ class TestTestCommand:
         assert (code, out) == (2, "")
         assert "distribution parameters must be finite" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("foo", "cannot parse distribution spec 'foo'; expected name(p1,p2) "
+                "or table:PATH"),
+        ("normal(0)", "normal distribution needs (mu, sigma) with sigma > 0"),
+        ("normal(0,-1)", "normal distribution needs (mu, sigma) with sigma > 0"),
+        ("uniform(1,0)", "uniform distribution needs (a, b) with a < b"),
+    ])
+    def test_bad_dist_spec_exits_2(self, capsys, decile_file, spec, message):
+        code, out, err = run_cli(capsys, "test", "--file", decile_file,
+                                 "--dist", spec)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n", "a CDF table needs at least two rows"),
+        ("0 0\n0 0.5\n1 1\n", "x column must be strictly increasing"),
+    ], ids=["one-row", "repeated-x"])
+    def test_bad_cdf_table_shape_exits_2(self, capsys, tmp_path, decile_file,
+                                         text, message):
+        cdf_path = tmp_path / "cdf.txt"
+        cdf_path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "test", "--file", decile_file,
+                                 "--dist", f"table:{cdf_path}")
+        assert (code, out, err) == (2, "", f"error: {cdf_path}: {message}\n")
+
     @pytest.mark.parametrize("row, message", [
         ("0.5 abc", "not a number: '0.5 abc'"),
         ("0.5 nan", "not a finite number: '0.5 nan'"),
@@ -319,8 +358,13 @@ class TestTestCommand:
         ("id,value\n1,abc\n", "value", "{path}:2: not a number: 'abc'"),
         ("id,value\n\n", "1", "{path}: no usable values in column '1'"),
         ("id,value\n", "value", "{path}: no usable values in column 'value'"),
+        ("id,value\n1,0.1\n", "-1",
+         "{path}: no column named '-1' in header ['id', 'value']"),
+        ("id,value\n1,0.1\n", "-5",
+         "{path}: no column named '-5' in header ['id', 'value']"),
     ], ids=["empty-file", "unknown-name", "short-row", "text-after-row-1",
-            "text-under-a-name", "index-header-only", "name-header-only"])
+            "text-under-a-name", "index-header-only", "name-header-only",
+            "negative-index-1", "negative-index-5"])
     def test_csv_column_errors_exit_2(self, capsys, tmp_path, text, column,
                                       message):
         path = tmp_path / "data.csv"

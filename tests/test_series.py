@@ -239,6 +239,35 @@ class TestCoefficientBlocks:
                                                    rel=1e-13, abs=1e-10)
 
 
+def horner(coeffs, c):
+    total = 0.0
+    for a in coeffs:
+        total = total * c + a
+    return total
+
+
+class TestTailRecord:
+    """The expansion cache keeps the tail form's coefficient pairs and the
+    k >= 4 shift of A_2, built once per (n, k)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 6, 10, 10**6, np.int64(2**40)])
+    def test_pairs_and_shift(self, n, k):
+        _, rows, pairs, shift = series._expansion(n, k)
+        assert pairs == tuple(zip(rows[0][1], rows[1][1]))
+        want = series._A2_TABLE_SHIFT / (float(n) * float(n)) if k >= 4 else -0.0
+        assert shift.hex() == want.hex()  # -0.0 keeps a zero A_2 as it is
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_coefficients_equal_one_horner_pass_per_row(self, k):
+        for n in (1, 2, 6, 10, 1000):
+            _, rows, _, shift = series._expansion(n, k)
+            for c in np.linspace(0.05, 6.0, 120).tolist():
+                assert fun_aj(1, c, n, k).hex() == (-horner(rows[0][1], c)).hex()
+                assert fun_aj(2, c, n, k).hex() == \
+                    (shift - horner(rows[1][1], c)).hex()
+
+
 # --------------------------------------------------------------------------
 # CDF / UTP
 # --------------------------------------------------------------------------
@@ -361,7 +390,7 @@ SWEEP_C = np.linspace(0.05, 12.0, 4400).tolist()
 
 def full_sum(expansion, c):
     """The expansion summed over all J_MAX terms, the loop before the cut."""
-    total, rows = expansion
+    total, rows = expansion[:2]
     c2 = c * c
     for j2, coeffs in rows:
         p = 0.0
@@ -454,7 +483,7 @@ def reference_expansion(n, k):
 
 
 def expansion_hex(expansion):
-    const, rows = expansion
+    const, rows = expansion[:2]
     return [const.hex()] + [" ".join(map(float.hex, (j2, *coeffs)))
                             for j2, coeffs in rows]
 
