@@ -104,7 +104,7 @@ def _residual(alpha: float, n: int, k: int):
     log_gap = math.log(_alpha_gap(alpha, -const, n, k))
 
     def f_nlm(c, contraction=False):
-        # series._tail_coefficients inlined: its call would add 5-15 % to `table`
+        # series._tail_coefficients inlined: 449 calls per `table --alpha 0.05`
         h1 = h2 = 0.0
         for p1, p2 in pairs:
             h1 = h1 * c + p1
