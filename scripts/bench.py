@@ -3,39 +3,22 @@
 
     python scripts/bench.py --parent REV --seeds 601,602,603 --out BENCH_4.json
 
-Extracts the committed files of REV into a temporary directory (git
-archive), then runs ``perfbench/run.py --trace 0`` on both trees for each
-workload and seed.  The two runs of a pair use the same seed, back to
-back; which tree runs first alternates from pair to pair, so that a drift
-in machine speed does not favour one side.  The temporary tree is removed
-afterwards.  Each run lasts --seconds of op time, by default the
-benchmark's own run_seconds.
-
-Per layer, the series is timed once per seed in a fresh interpreter with
-PYTHONPATH at each tree's ``src/``, again alternating which tree runs
-first: the median microseconds per call of ``cdf_kn`` and of
-``utp(truncated=True)`` over 200 c in [0.3, 3.5] x the 20 (n, k) of the
-``cdf_curve`` workload, over LAYER_REPEATS passes after a warm-up pass.
-
-End to end, each CLI command of CLI_COMMANDS runs CLI_REPEATS times per
-tree as ``python -m kuiper_hoe.cli ...`` in a fresh process, import
-included, alternating which tree runs first; ``test`` reads a generated
-200-point file.  The wall times are in milliseconds.
-
-The JSON written to --out holds the Python and numpy versions, nproc,
-every run's end-to-end metrics, their median, quartiles and minimum per
-tree (for a time, the minimum is the run least disturbed by other load),
-and per metric the ratios of the medians and of the minima, the number of
-pairs in which the checkout was better (directions from BENCHMARK.json)
-and whether the medians differ by more than the parent's interquartile
-range; the same for the per-layer times under ``layers`` and the CLI wall
-times under ``cli``.
+Runs REV's committed files (via git archive) and the checkout in rounds of
+fresh ``python`` processes with PYTHONPATH at each tree's ``src/``; the side
+that runs first swaps each round, so that drift in machine speed favours
+neither.  ``workloads``: per workload, a round per seed of ``perfbench/run.py
+--trace 0`` for --seconds of op time (default: BENCHMARK.json run_seconds).
+``layers``: a round per seed of LAYER_SCRIPT (series calls, cdf_curve keys).
+``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
+import included.  Per side (``parent``, ``checkout``) a section holds every
+metric's runs, median, quartiles and minimum (for a time, the run least
+disturbed by other load); under ``change`` the ratios of the medians and of
+the minima, the rounds the checkout won (directions from BENCHMARK.json,
+lower for times) and whether the medians differ by more than the parent's
+interquartile range.  A workload side also lists its failed and attempted ops.
 """
 
-from __future__ import annotations
-
 import argparse
-import io
 import json
 import os
 import platform
@@ -50,6 +33,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# What a perfbench run reads from the checkout.
+MEASURED_PATHS = ("src", "perfbench", "tests/table_data.py", "BENCHMARK.json")
 
 LAYER_REPEATS = 7
 LAYER_SCRIPT = """
@@ -60,19 +45,15 @@ grid = np.linspace(0.3, 3.5, 200).tolist()
 keys = [(n, k) for n in (6, 10, 50, 1000) for k in range(1, 6)]
 calls = {"cdf_kn_us": cdf_kn,
          "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True)}
-out = {}
-for name, f in calls.items():
-    passes = []
-    for _ in range(%d + 1):
-        start = time.perf_counter()
-        for n, k in keys:
-            for c in grid:
-                f(c, n, k)
-        passes.append((time.perf_counter() - start) / (len(keys) * len(grid)))
-    out[name] = statistics.median(passes[1:]) * 1e6
-print(json.dumps(out))
+def seconds_per_call(f):
+    start = time.perf_counter()
+    for n, k in keys:
+        for c in grid:
+            f(c, n, k)
+    return (time.perf_counter() - start) / (len(keys) * len(grid))
+print(json.dumps({name: statistics.median([seconds_per_call(f) for _ in range(
+    %d + 1)][1:]) * 1e6 for name, f in calls.items()}))
 """ % LAYER_REPEATS
-
 
 CLI_REPEATS = 9
 # Timed CLI commands; {sample} is the generated 200-point data file.
@@ -89,55 +70,31 @@ def git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def extract(rev: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest)
-
-
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; its final JSON line."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, capture_output=True, text=True)
+def run_python(tree: Path, argv: list) -> str:
+    """stdout of ``python ARGV`` run in TREE, importing the tree's src/."""
+    done = subprocess.run([sys.executable, *argv], cwd=tree,
+                          env=dict(os.environ, PYTHONPATH=str(Path(tree) / "src")),
+                          capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} in {tree} exited "
-                           f"{done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
-def time_layers(tree: Path) -> dict:
-    """Median microseconds per series call, in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run([sys.executable, "-c", LAYER_SCRIPT], cwd=tree,
-                          env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"layer timing in {tree} exited "
-                           f"{done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout)
-
-
-def time_cli(tree: Path, argv: list) -> float:
-    """Wall time in ms of one CLI process, import included."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "kuiper_hoe.cli", *argv],
-                          cwd=tree, env=env, capture_output=True, text=True)
-    elapsed = time.perf_counter() - start
-    if done.returncode not in (0, 1):  # 1: the test rejected
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited "
                            f"{done.returncode}: {done.stderr.strip()}")
-    return elapsed * 1e3
+    return done.stdout
+
+
+def alternate(trees: dict, rounds: int, measure) -> dict:
+    """Per side the list of measure(tree, round) over the rounds; the side
+    that runs first swaps each round, starting with the first key of trees."""
+    sides = list(trees)
+    runs = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in (sides if r % 2 == 0 else sides[::-1]):
+            runs[side].append(measure(trees[side], r))
+    return runs
 
 
 def summary(values: list) -> dict:
-    if len(values) > 1:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    else:
-        q1 = q3 = values[0]
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "min": min(values), "runs": values}
 
@@ -153,6 +110,38 @@ def compare(parent: dict, checkout: dict, direction: str) -> dict:
             "median_gap_exceeds_parent_iqr":
                 abs(checkout["median"] - parent["median"])
                 > parent["q3"] - parent["q1"]}
+
+
+def report(runs: dict, directions: dict) -> dict:
+    """{parent, checkout, change}: each side's summary of every metric in
+    directions (name -> "lower" or "higher"), and the change."""
+    out = {side: {name: summary([run[name] for run in side_runs])
+                  for name in directions}
+           for side, side_runs in runs.items()}
+    out["change"] = {name: compare(out["parent"][name],
+                                   out["checkout"][name], direction)
+                     for name, direction in directions.items()}
+    return out
+
+
+def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its failed and attempted ops and metric values."""
+    out = json.loads(run_python(tree, [
+        "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0"]).splitlines()[-1])
+    metrics = {k: v["value"] for k, v in out["metrics"].items()}
+    print(workload, seed, tree, metrics, file=sys.stderr, flush=True)
+    return {"failed": out["failed"], "attempted": out["attempted"], **metrics}
+
+
+def time_cli(tree: Path, sample: Path) -> dict:
+    """Wall time in ms of each CLI_COMMANDS process, import included."""
+    walls = {}
+    for name, command in CLI_COMMANDS.items():
+        start = time.perf_counter()
+        run_python(tree, ["-m", "kuiper_hoe.cli", *command.format(sample=sample).split()])
+        walls[name] = (time.perf_counter() - start) * 1e3
+    return walls
 
 
 def main(argv=None) -> int:
@@ -172,82 +161,41 @@ def main(argv=None) -> int:
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     seeds = [int(s) for s in args.seeds.split(",")]
-    sides = ("parent", "checkout")
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="kuiper-bench-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "checkout": ROOT}
-        extract(args.parent, trees["parent"])
-        pair = 0
+        git("archive", "--format=tar", "-o", f"{tmp}/parent.tar", args.parent)
+        with tarfile.open(f"{tmp}/parent.tar") as archive:
+            archive.extractall(trees["parent"])
         for workload in workloads:
-            runs = {side: [] for side in sides}
-            for seed in seeds:
-                order = sides if pair % 2 == 0 else sides[::-1]
-                for side in order:
-                    runs[side].append(run_once(trees[side], workload, seed,
-                                               seconds))
-                    print(f"{workload} seed {seed} {side}: " + " ".join(
-                        f"{k}={v['value']:.4g}"
-                        for k, v in runs[side][-1]["metrics"].items()),
-                        file=sys.stderr, flush=True)
-                pair += 1
-            entry = {}
-            for side in sides:
-                entry[side] = {
-                    name: summary([r["metrics"][name]["value"]
-                                   for r in runs[side]])
-                    for name in better}
-                entry[side]["failed"] = [r["failed"] for r in runs[side]]
-                entry[side]["attempted"] = [r["attempted"] for r in runs[side]]
-            entry["change"] = {
-                name: compare(entry["parent"][name], entry["checkout"][name],
-                              direction)
-                for name, direction in better.items()}
-            results[workload] = entry
-        timed = {side: [] for side in sides}
-        for pair in range(len(seeds)):
-            for side in (sides if pair % 2 == 0 else sides[::-1]):
-                timed[side].append(time_layers(trees[side]))
-        layers = {side: {name: summary([t[name] for t in timed[side]])
-                         for name in timed[side][0]}
-                  for side in sides}
-        layers["change"] = {
-            name: compare(layers["parent"][name], layers["checkout"][name],
-                          "lower")
-            for name in layers["parent"]}
+            runs = alternate(trees, len(seeds), lambda tree, r: perfbench(
+                tree, workload, seeds[r], seconds))
+            results[workload] = report(runs, better)
+            for side, side_runs in runs.items():
+                for key in ("failed", "attempted"):
+                    results[workload][side][key] = [run[key] for run in side_runs]
+        timed = alternate(trees, len(seeds), lambda tree, _: json.loads(
+            run_python(tree, ["-c", LAYER_SCRIPT])))
+        layers = report(timed, dict.fromkeys(timed["parent"][0], "lower"))
         sample = Path(tmp) / "sample.txt"
-        values = np.random.default_rng(0).normal(size=200).tolist()
-        sample.write_text("".join(f"{x!r}\n" for x in values))
-        walls = {name: {side: [] for side in sides} for name in CLI_COMMANDS}
-        for repeat in range(CLI_REPEATS):
-            for side in (sides if repeat % 2 == 0 else sides[::-1]):
-                for name, command in CLI_COMMANDS.items():
-                    walls[name][side].append(time_cli(
-                        trees[side], command.format(sample=sample).split()))
-        cli = {}
-        for name, by_side in walls.items():
-            cli[name] = {side: summary(by_side[side]) for side in sides}
-            cli[name]["change"] = compare(cli[name]["parent"],
-                                          cli[name]["checkout"], "lower")
-            print(f"cli {name}: " + " ".join(
-                f"{side}={cli[name][side]['median']:.1f} ms" for side in sides),
-                file=sys.stderr, flush=True)
+        sample.write_text("".join(f"{x!r}\n" for x in np.random.default_rng(
+            0).normal(size=200).tolist()))
+        cli = report(alternate(trees, CLI_REPEATS,
+                               lambda tree, _: time_cli(tree, sample)),
+                     dict.fromkeys(CLI_COMMANDS, "lower"))
 
     payload = {
         "command": "python scripts/bench.py " + " ".join(
             sys.argv[1:] if argv is None else argv),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "machine": platform.machine(),
+        "python": platform.python_version(), "numpy": np.__version__,
+        "nproc": os.cpu_count(), "machine": platform.machine(),
         "parent_rev": git("rev-parse", args.parent),
         "checkout_rev": git("rev-parse", "HEAD"),
-        "checkout_src_dirty": bool(git("status", "--porcelain", "--", "src")),
-        "seconds": seconds,
-        "seeds": seeds,
-        "workloads": results,
-        "layers": layers,
-        "cli": cli,
+        "checkout_dirty": bool(git("status", "--porcelain", "--",
+                                   *MEASURED_PATHS)),
+        "seconds": seconds, "seeds": seeds,
+        "workloads": results, "layers": layers, "cli": cli,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0

@@ -63,8 +63,9 @@ class SimConfig:
     """One Type-I-error experiment: capacity, level, orders, replication
     count, seed, and the plotting-position scheme of the test statistic.
 
-    ``workers`` must be >= 1 and has no effect; it is kept so that existing
-    callers still run."""
+    ``seed`` must be an integer >= 0 and ``scheme`` an ``EdfScheme``.
+    ``workers`` must be an integer >= 1 and has no effect; it is kept so
+    that existing callers still run."""
 
     n: int
     alpha: float = 0.05
@@ -86,8 +87,12 @@ class SimConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not _is_integer(self.n_rep) or self.n_rep < 1:
             raise ValueError(f"n_rep must be an integer >= 1, got {self.n_rep!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not _is_integer(self.workers) or self.workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.scheme, EdfScheme):
+            raise ValueError(f"scheme must be an EdfScheme, got {self.scheme!r}")
         for name in self.comparators:
             if name not in KNOWN_COMPARATORS:
                 raise ValueError(f"unknown comparator {name!r}; "

@@ -451,6 +451,25 @@ class TestSimulateCommand:
                                "--nrep", "50", "--seed", "1", "--format", "csv")
         assert list(csv.DictReader(io.StringIO(out)))[0]["seed"] == "1"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+        ("--workers", "0", "workers must be an integer >= 1, got 0"),
+    ])
+    def test_seed_and_workers_errors_name_the_field(self, capsys, flag, value,
+                                                    message):
+        # --seed -1 once exited 2 with numpy's "expected non-negative integer"
+        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
+                                 "--nrep", "20", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_env_seed_checked_like_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("KUIPER_SEED", "-3")
+        code, _, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
+                               "--nrep", "20")
+        assert code == 2
+        assert err == "error: seed must be an integer >= 0, got -3\n"
+
     def test_csv_round_trip(self, capsys):
         cfg = SimConfig(n=10, k_set=(1, 5), n_rep=300, seed=5,
                         comparators=("ks",))

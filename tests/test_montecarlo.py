@@ -159,6 +159,30 @@ class TestBlockLayout:
         with pytest.raises(ValueError):
             SimConfig(n=10, workers=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # these once constructed: seed=True ran as seed 1, workers had no
+        # check but >= 1, and seed=1.5 or a scheme name died in simulate_type1
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"workers": math.nan}, "workers must be an integer >= 1, got nan"),
+        ({"workers": 1.5}, "workers must be an integer >= 1, got 1.5"),
+        ({"workers": True}, "workers must be an integer >= 1, got True"),
+        ({"scheme": "scheme0"}, "scheme must be an EdfScheme, got 'scheme0'"),
+    ], ids=["seed-bool", "seed-float", "seed-negative", "workers-nan",
+            "workers-float", "workers-bool", "scheme-str"])
+    def test_seed_workers_and_scheme_checked_at_construction(self, kwargs,
+                                                             message):
+        with pytest.raises(ValueError) as err:
+            SimConfig(n=10, k_set=(1,), **kwargs)
+        assert str(err.value) == message
+
+    def test_numpy_integer_seed_and_workers_accepted(self):
+        cfg = SimConfig(n=10, k_set=(1,), n_rep=300, seed=np.int64(5),
+                        workers=np.int32(2))
+        plain = SimConfig(n=10, k_set=(1,), n_rep=300, seed=5)
+        assert simulate_type1(cfg).rejections == simulate_type1(plain).rejections
+
     @pytest.mark.parametrize("n_rep", [True, 2.5, 10.0, 0, np.bool_(True)])
     def test_n_rep_must_be_a_positive_integer(self, n_rep):
         # True would run one replication and 2.5 fail inside simulate_type1
