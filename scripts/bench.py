@@ -73,7 +73,7 @@ def git(*args: str) -> str:
 def run_python(tree: Path, argv: list) -> str:
     """stdout of ``python ARGV`` run in TREE, importing the tree's src/."""
     done = subprocess.run([sys.executable, *argv], cwd=tree,
-                          env=dict(os.environ, PYTHONPATH=str(Path(tree) / "src")),
+                          env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                           capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited "
