@@ -8,7 +8,8 @@ fresh ``python`` processes with PYTHONPATH at each tree's ``src/``; the side
 that runs first swaps each round, so that drift in machine speed favours
 neither.  ``workloads``: per workload, a round per seed of ``perfbench/run.py
 --trace 0`` for --seconds of op time (default: BENCHMARK.json run_seconds).
-``layers``: a round per seed of LAYER_SCRIPT (series calls, cdf_curve keys).
+``layers``: a round per seed of LAYER_SCRIPT (series calls and an alpha-0.05
+pair solve, cdf_curve keys).
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
 import included.  Per side (``parent``, ``checkout``) a section holds every
 metric's runs, median, quartiles and minimum (for a time, the run least
@@ -41,10 +42,13 @@ LAYER_SCRIPT = """
 import json, statistics, time
 import numpy as np
 from kuiper_hoe.series import cdf_kn, utp
+from kuiper_hoe.solver import kuiper_pair_solver
 grid = np.linspace(0.3, 3.5, 200).tolist()
 keys = [(n, k) for n in (6, 10, 50, 1000) for k in range(1, 6)]
+# pair_us: one solve per grid point, so 200 passes over the keys
 calls = {"cdf_kn_us": cdf_kn,
-         "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True)}
+         "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True),
+         "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k)}
 def seconds_per_call(f):
     start = time.perf_counter()
     for n, k in keys:

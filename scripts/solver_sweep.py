@@ -67,7 +67,9 @@ GOF_CAPACITIES = sorted(set(np.rint(np.logspace(0.0, math.log10(5000), 200))
 LEVELS = (0.0, 1e-5, 1e-4, math.nextafter(1e-4, 1.0), 0.05, 0.5, 0.95, 0.9999,
           1.0, -1e-12, 1.5, math.nan, math.inf, -math.inf)
 QUANTILE_KEYS = ((1, 1), (6, 3), (10, 5), (100, 4), (10**6, 2))
-# (n, alpha, orders): at n = 1 and 2 order 1 has no quantile at 0.05.
+# (n, alpha, orders).  Order 1 is left out at n = 1 and 2 although it has a
+# quantile at these levels; the grid is kept so that the wrappers digest
+# still compares with earlier revisions.
 SIM_CASES = ((1, 0.2, (2, 3, 4, 5)), (2, 0.05, (2, 3, 4, 5)),
              (10, 0.05, tuple(ORDERS)), (180, 0.05, tuple(ORDERS)))
 SIM_SEEDS = (0, 7, 2024)

@@ -259,7 +259,12 @@ def cmd_simulate(args) -> int:
     comparators = tuple(s.strip() for s in args.comparators.split(",") if s.strip())
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("KUIPER_SEED", "0"))
+        raw = os.environ.get("KUIPER_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"KUIPER_SEED must be an integer >= 0, "
+                             f"got {raw!r}") from None
     cfg = SimConfig(n=args.n, alpha=args.alpha, k_set=tuple(k_list),
                     n_rep=args.nrep, seed=seed,
                     scheme=EdfScheme.from_string(args.scheme),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 from .series import _check_argument, _expansion
@@ -21,7 +20,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateDerivativeError",
     "FixedPointDomainError",
-    "BracketWarning",
     "get_init_value",
     "f_nlm",
     "f_ctm",
@@ -66,10 +64,6 @@ class FixedPointDomainError(ValueError):
         super().__init__(message)
         self.argument = argument
         self.steps = 0
-
-
-class BracketWarning(UserWarning):
-    """get_init_value saw no sign change over the supplied interval."""
 
 
 @dataclass(frozen=True)
@@ -176,29 +170,22 @@ def _iterate(step, x0: float, epsilon: float) -> tuple[float, int]:
 
 
 def get_init_value(f, a: float, b: float, h: float, *params) -> float:
-    """Bisection preconditioner: a midpoint within h of the root of f.
+    """Bisection preconditioner: a midpoint within h of a sign change of f.
 
-    Assumes a single sign change of f on [a, b].  If f(a) and f(b) have the
-    same sign (checked when both evaluate cleanly) a BracketWarning is
-    emitted and the midpoint search still runs.  Each point costs one f call.
+    f(a) must evaluate; a midpoint where f raises FixedPointDomainError
+    counts as past the sign change and moves the upper end down.  Each
+    point costs one f call.
     """
-    fa = None
-    try:
-        fa = f(a, *params)
-        if fa * f(b, *params) > 0.0:
-            warnings.warn(
-                f"no sign change of {getattr(f, '__name__', 'f')} on "
-                f"[{a}, {b}]; initializer may be far from a root", BracketWarning,
-                stacklevel=2)
-    except FixedPointDomainError:
-        pass  # endpoint outside the domain; bisection itself may still succeed
+    fa = f(a, *params)
     delta = abs(a - b)
     x_guess = (a + b) / 2.0
     while delta > h:
-        fx = f(x_guess, *params)
-        if fa is None:  # f(a) raised above; evaluate it after f(x_guess)
-            fa = f(a, *params)
-        if fx * fa > 0.0:
+        try:
+            fx = f(x_guess, *params)
+            before_root = fx * fa > 0.0
+        except FixedPointDomainError:  # past the domain edge, so past the root
+            before_root = False
+        if before_root:
             a, fa = x_guess, fx
         else:
             b = x_guess

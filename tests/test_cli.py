@@ -470,6 +470,29 @@ class TestSimulateCommand:
         assert code == 2
         assert err == "error: seed must be an integer >= 0, got -3\n"
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "True", ""])
+    def test_env_seed_that_is_no_integer_names_the_variable(self, capsys,
+                                                            monkeypatch, value):
+        # once exited 2 with "invalid literal for int() with base 10: 'abc'"
+        monkeypatch.setenv("KUIPER_SEED", value)
+        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
+                                 "--nrep", "20")
+        assert (code, out) == (2, "")
+        assert err == f"error: KUIPER_SEED must be an integer >= 0, got {value!r}\n"
+
+    def test_order_one_runs_at_n3(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--k", "1",
+                               "--nrep", "200")
+        assert code == 0
+        assert "hoe_k1" in out
+
+    def test_n1_stops_at_the_order_two_floor(self, capsys):
+        # order 1 now solves at n = 1; order 2 cannot reach alpha 0.05 there
+        code, out, err = run_cli(capsys, "simulate", "--n", "1")
+        assert (code, out) == (2, "")
+        assert "order k=2 cannot reach alpha below 0.0555556 at n=1" in err
+        assert "contraction basin" not in err
+
     def test_csv_round_trip(self, capsys):
         cfg = SimConfig(n=10, k_set=(1, 5), n_rep=300, seed=5,
                         comparators=("ks",))

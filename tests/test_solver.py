@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from kuiper_hoe.solver import (
-    BracketWarning,
     ConvergenceError,
     DegenerateDerivativeError,
     FixedPointDomainError,
@@ -68,13 +67,8 @@ class TestFrameworkOnClassics:
 
 
 def _two_calls_per_halving(f, a, b, h, *params):
-    """get_init_value as it was before f(a) was kept: f(a) is evaluated
-    again next to every midpoint."""
-    try:
-        if f(a, *params) * f(b, *params) > 0.0:
-            warnings.warn("no sign change", BracketWarning)
-    except FixedPointDomainError:
-        pass
+    """The reference midpoint search: f(a) is evaluated again next to every
+    midpoint, and every point must evaluate."""
     delta = abs(a - b)
     x_guess = (a + b) / 2.0
     while delta > h:
@@ -101,10 +95,6 @@ class TestBisectionInit:
             got = get_init_value(lambda x, r=root: x - r, 0.6, 3.0, 0.05)
             assert 0.6 < got < 3.0
 
-    def test_warns_without_sign_change(self):
-        with pytest.warns(BracketWarning):
-            get_init_value(lambda x: x * x + 1.0, -1.0, 1.0, 0.05)
-
     @pytest.mark.parametrize("alpha,n,k", [(0.05, 10, 5), (0.00792, 7, 5),
                                            (0.9998, 50, 1), (0.05, 6, 1)])
     def test_one_call_per_point_and_the_old_midpoint(self, alpha, n, k):
@@ -114,32 +104,41 @@ class TestBisectionInit:
             calls.append(x)
             return f_nlm(x, *params)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BracketWarning)
-            got = get_init_value(counted, *solver.BRACKET, alpha, n, k)
-            new_calls, calls[:] = list(calls), []
-            want = _two_calls_per_halving(counted, *solver.BRACKET, alpha, n, k)
-        halvings = (len(calls) - 2) // 2
+        got = get_init_value(counted, *solver.BRACKET, alpha, n, k)
+        new_calls, calls[:] = list(calls), []
+        want = _two_calls_per_halving(counted, *solver.BRACKET, alpha, n, k)
+        halvings = len(calls) // 2
         assert got.hex() == want.hex()
-        assert len(new_calls) == 2 + halvings
+        assert len(new_calls) == 1 + halvings
         assert len(set(new_calls)) == len(new_calls)  # no point evaluated twice
 
-    def test_failing_left_end_raises_at_the_same_call(self):
-        # f(a) fails in the bracket check; the first halving evaluates the
-        # midpoint, then f(a) again, which raises as before
+    def test_failing_left_end_raises_before_any_midpoint(self):
+        calls = []
+
         def f(x):
             calls.append(x)
             if x < 1.0:
                 raise FixedPointDomainError("left the domain", argument="c")
             return x - 2.0
 
-        seen = []
-        for init in (get_init_value, _two_calls_per_halving):
-            calls = []
-            with pytest.raises(FixedPointDomainError):
-                init(f, 0.6, 3.0, 0.05)
-            seen.append(calls)
-        assert seen[0] == seen[1] == [0.6, 1.8, 0.6]
+        with pytest.raises(FixedPointDomainError):
+            get_init_value(f, 0.6, 3.0, 0.05)
+        assert calls == [0.6]
+
+    def test_raising_midpoint_moves_the_upper_end_down(self):
+        # f has its root at 1.5 and leaves its domain beyond 2: the first
+        # midpoint 1.8 raises and the second, 1.2, is below the root
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if x > 2.0:
+                raise FixedPointDomainError("left the domain", argument="c")
+            return x - 1.5
+
+        got = get_init_value(f, 0.6, 3.0, 0.05)
+        assert abs(got - 1.5) <= 0.05
+        assert calls[:3] == [0.6, 1.8, 1.2]
 
 
 class TestResidualFunctions:
@@ -282,6 +281,15 @@ class TestPairSolver:
         assert pair.iterations > err.value.steps
         assert abs(pair.residual) < 1e-10
 
+    @pytest.mark.parametrize("n, c_ref", [(1, 1.18920), (2, 1.33909),
+                                          (3, 1.42884)])
+    def test_order_one_solves_below_the_domain_edge(self, n, c_ref):
+        # A_1 < 0 at c = 1.8, where both tries start; the retry's bisection
+        # steps down past the domain edge to the root below it
+        pair = kuiper_pair_solver(0.05, n, 1)
+        assert pair.c == pytest.approx(c_ref, abs=1e-5)
+        assert abs(pair.residual) < 1e-5
+
     def test_bisection_init_path(self):
         # the retry's path: Newton from the bisection midpoint
         x0 = get_init_value(f_nlm, *solver.BRACKET, 0.05, 10, 5)
@@ -322,9 +330,8 @@ class TestPairSolver:
             _iterate(lambda c: _newton_step(f_nlm, c, 0.9998, 50, 1),
                      solver.C_GUESS, solver.EPSILON)
         assert err.value.argument == "c"
-        with pytest.warns(BracketWarning):
-            with pytest.raises(FixedPointDomainError):
-                kuiper_pair_solver(0.9998, 50, 1)
+        with pytest.raises(FixedPointDomainError):
+            kuiper_pair_solver(0.9998, 50, 1)
 
 
 def _reference_pair(alpha, n, k, method):
@@ -384,15 +391,7 @@ class TestResidualBuiltOnce:
                     want = _outcome(lambda: _reference_pair(alpha, n, k, method))
                     assert got == want, (alpha, n, k)
                     kinds[got[0][0] if got[0][0] == "ok" else got[0][2]] += 1
-                    if got[1]:
-                        kinds["warned"] += 1
-        assert {"ok", "alpha_gap", "tail_coefficient", "warned"} <= set(kinds)
-
-    def test_bracket_warning_names_f_nlm(self):
-        with pytest.warns(BracketWarning,
-                          match=r"no sign change of f_nlm on \[0.6, 3.0\]"):
-            with pytest.raises(FixedPointDomainError):
-                kuiper_pair_solver(0.9998, 50, 1)
+        assert {"ok", "alpha_gap", "tail_coefficient"} <= set(kinds)
 
 
 class TestQuantiles:
