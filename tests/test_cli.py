@@ -487,7 +487,7 @@ class TestSimulateCommand:
         assert "hoe_k1" in out
 
     def test_n1_stops_at_the_order_two_floor(self, capsys):
-        # order 1 now solves at n = 1; order 2 cannot reach alpha 0.05 there
+        # order 1 solves at n = 1; order 2 cannot reach alpha 0.05 there
         code, out, err = run_cli(capsys, "simulate", "--n", "1")
         assert (code, out) == (2, "")
         assert "order k=2 cannot reach alpha below 0.0555556 at n=1" in err

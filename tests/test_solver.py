@@ -284,8 +284,8 @@ class TestPairSolver:
     @pytest.mark.parametrize("n, c_ref", [(1, 1.18920), (2, 1.33909),
                                           (3, 1.42884)])
     def test_order_one_solves_below_the_domain_edge(self, n, c_ref):
-        # A_1 < 0 at c = 1.8, where both tries start; the retry's bisection
-        # steps down past the domain edge to the root below it
+        # the tail form is negative at c = 1.8, where both tries start; the
+        # retry's bisection steps down past the domain edge to the root
         pair = kuiper_pair_solver(0.05, n, 1)
         assert pair.c == pytest.approx(c_ref, abs=1e-5)
         assert abs(pair.residual) < 1e-5
