@@ -9,7 +9,9 @@ that runs first swaps each round, so that drift in machine speed favours
 neither.  ``workloads``: per workload, a round per seed of ``perfbench/run.py
 --trace 0`` for --seconds of op time (default: BENCHMARK.json run_seconds).
 ``layers``: a round per seed of LAYER_SCRIPT (series calls and an alpha-0.05
-pair solve, cdf_curve keys).
+pair solve on the cdf_curve keys, which the cache holds, and ``fresh_key_us``:
+an alpha-0.05 upper tail quantile and a full ``utp`` on a key never used
+before, gof's series cost per op).
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
 import included.  Per side (``parent``, ``checkout``) a section holds every
 metric's runs, median, quartiles and minimum (for a time, the run least
@@ -39,16 +41,24 @@ MEASURED_PATHS = ("src", "perfbench", "tests/table_data.py", "BENCHMARK.json")
 
 LAYER_REPEATS = 7
 LAYER_SCRIPT = """
-import json, statistics, time
+import itertools, json, statistics, time
 import numpy as np
 from kuiper_hoe.series import cdf_kn, utp
-from kuiper_hoe.solver import kuiper_pair_solver
+from kuiper_hoe.solver import kuiper_pair_solver, kuiper_utq
 grid = np.linspace(0.3, 3.5, 200).tolist()
 keys = [(n, k) for n in (6, 10, 50, 1000) for k in range(1, 6)]
+fresh = itertools.count(10_000)
+def fresh_key(c, _, k):
+    # gof's series cost per op: a capacity no call has used before, so the
+    # expansion is built anew, its critical value and the full tail at c
+    n = next(fresh)
+    kuiper_utq(0.05, n, k)
+    utp(c, n, k)
 # pair_us: one solve per grid point, so 200 passes over the keys
 calls = {"cdf_kn_us": cdf_kn,
          "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True),
-         "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k)}
+         "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k),
+         "fresh_key_us": fresh_key}
 def seconds_per_call(f):
     start = time.perf_counter()
     for n, k in keys:

@@ -2,7 +2,8 @@
 
 Subcommands: pair, utq, ltq, invcdf, cdf, test, table, simulate.
 Exit codes: 0 success/accept, 1 test rejected, 2 usage or domain error,
-3 solver non-convergence.
+3 solver non-convergence.  NumPy, ``gof`` and ``montecarlo`` are imported
+only by ``test`` and ``simulate``; the other commands never load NumPy.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from .gof import EdfScheme, SampleSet, kuiper_test
-from .montecarlo import SimConfig, normal_cdf, simulate_type1
 from .series import _scale_v, cdf_kn, utp
 from .solver import (ConvergenceError, FixedPointDomainError, kuiper_inv_cdf,
                      kuiper_ltq, kuiper_pair_solver, kuiper_utq)
@@ -65,7 +62,11 @@ def _parse_int_list(text: str, flag: str) -> list:
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ValueError(f"{flag} needs at least one value, got {text!r}")
-    return [int(s) for s in items]
+    try:
+        return [int(s) for s in items]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma list of integers, "
+                         f"got {text!r}") from None
 
 
 _DIST_RE = re.compile(r"^\s*(\w+)\s*\(([^)]*)\)\s*$")
@@ -77,6 +78,10 @@ def parse_dist_spec(spec: str):
     Accepted forms: normal(mu,sigma), uniform(a,b), or table:PATH where
     PATH holds a two-column monotone CDF table (linear interpolation).
     """
+    import numpy as np
+
+    from .montecarlo import normal_cdf
+
     if spec.startswith("table:"):
         return _load_cdf_table(spec[len("table:"):])
     m = _DIST_RE.match(spec)
@@ -126,6 +131,8 @@ def _read_numbers(path: str, width: int) -> list:
 
 
 def _load_cdf_table(path: str):
+    import numpy as np
+
     rows = _read_numbers(path, 2)
     if len(rows) < 2:
         raise ValueError(f"{path}: a CDF table needs at least two rows")
@@ -214,6 +221,8 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from .gof import EdfScheme, SampleSet, kuiper_test
+
     cdf = parse_dist_spec(args.dist)
     values = read_sample_file(args.file, args.csv_column)
     sample = SampleSet(values)
@@ -255,6 +264,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .gof import EdfScheme
+    from .montecarlo import SimConfig, simulate_type1
+
     k_list = _parse_int_list(args.k, "--k")
     comparators = tuple(s.strip() for s in args.comparators.split(",") if s.strip())
     seed = args.seed

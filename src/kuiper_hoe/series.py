@@ -14,29 +14,31 @@ classical limit functions.
 
 The expansion is written down once, in ``_TABLE``: per order i the
 constant C_i and the polynomial P_i in c and J = j^2, and ``_ROWS`` holds
-it as floats, per order and j the coefficients of factor_i P_i(c, j^2).
-An (n, k) expansion weights order i by n^(-i/2) and adds the orders in
-index order, one rounding per step: no BLAS product, so its bits do not
-depend on the BLAS kernel or the Python version.  They still depend on
-libm's ``exp``, ``log`` and ``erfc`` and on NumPy's axis-0 reduce adding
-in index order, which a test checks against a plain loop.  The inner sum
-is truncated at ``J_MAX = 10``; the terms beyond it add less than 1e-25 to
-any B_i for c >= 0.6.  The evaluation stops the sum earlier, at the first
-j where a proven bound on all the terms left (``_TAIL_BOUND``, see
-``_evaluate``) is below 2^-56 of the running total: those terms would
-round away one by one, so every result equals the 10-term sum bit for
-bit.  A term whose exponential underflows to 0 adds nothing, even where
-its polynomial has overflowed.  The solver's two-exponential tail form
+it as floats, per j and power of c the nonzero coefficients of
+factor_i P_i(c, j^2) with their order i.  An (n, k) expansion weights
+order i by n^(-i/2) and adds the orders in index order from 0.0, one
+rounding per step, in a plain Python loop: no BLAS product and no builtin
+``sum``, so its bits do not depend on the BLAS kernel or the Python
+version, and the module imports no NumPy.  They still depend on libm's
+``exp``, ``log`` and ``erfc``.  The inner sum is truncated at
+``J_MAX = 10``; the terms beyond it add less than 1e-25 to any B_i for
+c >= 0.6.  The evaluation stops the sum earlier, at the first j where a
+proven bound on all the terms left (``_TAIL_BOUND``, see ``_evaluate``)
+is below 2^-56 of the running total: those terms would round away one by
+one, so every result equals the 10-term sum bit for bit.  A term whose
+exponential underflows to 0 adds nothing, even where its polynomial has
+overflowed.  The solver's two-exponential tail form
 
     alpha = [1 + A_0(n,k)] + A_1(c,n,k) e^{-2c^2} + A_2(c,n,k) e^{-8c^2}
 
 is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
 exception: the published critical-value tables were computed with a
 k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
-series value.  ``_expansion`` caches per (n, k) C, the rows and the tail
-record built once from them, the coefficient pairs of (-A_1, -A_2) and
-that shift, so that ``fun_aj``, the truncated ``utp`` and the solver
-reproduce those tables.
+series value.  ``_expansion`` caches per (n, k) C, the terms j = 1, 2
+(the rest are built and kept the first time ``_evaluate`` reaches them),
+the tail record built once from those two, the coefficient pairs of
+(-A_1, -A_2), and that shift, so that ``fun_aj``, the truncated ``utp``
+and the solver reproduce those tables.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ import functools
 import math
 import numbers
 import sys
-
-import numpy as np
 
 __all__ = [
     "Probability",
@@ -87,39 +87,67 @@ _ORDERS = len(_TABLE)
 _J2 = tuple(float(j * j) for j in range(1, J_MAX + 1))
 
 
-def _rows() -> np.ndarray:
-    """[i, j - 1, d]: the coefficient of c^(_ORDERS + 1 - d) in
-    factor_i * P_i(c, j^2), an exact integer times factor_i."""
-    rows = np.zeros((_ORDERS, J_MAX, _ORDERS + 2))
-    for i, (_, factor, poly) in enumerate(_TABLE):
-        for (p, q), coef in poly.items():  # integers below 2^53 add exactly
-            rows[i, :, _ORDERS + 1 - p] += [coef * j ** (2 * q)
-                                            for j in range(1, J_MAX + 1)]
-        rows[i] *= factor
-    return rows
+def _sparse_rows() -> tuple:
+    """[j - 1][d]: the nonzero (i, factor_i * the coefficient of
+    c^(_ORDERS + 1 - d) in P_i(c, j^2)) in index order.  The coefficient is
+    an exact integer (below 2^53), so each entry is rounded once."""
+    rows = []
+    for j in range(1, J_MAX + 1):
+        per_power = [[] for _ in range(_ORDERS + 2)]
+        for i, (_, factor, poly) in enumerate(_TABLE):
+            exact = [0] * (_ORDERS + 2)
+            for (p, q), coef in poly.items():
+                exact[_ORDERS + 1 - p] += coef * j ** (2 * q)
+            for d, a in enumerate(exact):
+                if a:
+                    per_power[d].append((i, a * factor))
+        rows.append(tuple(map(tuple, per_power)))
+    return tuple(rows)
 
 
-_ROWS = _rows()
+_ROWS = _sparse_rows()
 
 # The largest sum_p |coefficient of c^p| of one (i, j) term, times the
 # number of orders and of terms: with weights <= 1 this bounds the
 # remaining j terms of any expansion over max(1, c)^(_ORDERS + 1) and the
 # first of their exponentials (see _evaluate).
 _TAIL_BOUND = J_MAX * _ORDERS * max(
-    map(math.fsum, np.abs(_ROWS).reshape(-1, _ORDERS + 2).tolist()))
+    math.fsum(abs(a) for entries in row for i, a in entries if i == order)
+    for row in _ROWS for order in range(_ORDERS))
 
 
-def _combine(weights: list[float]) -> tuple[float, tuple]:
-    """sum_i weights[i] B_i(c) as its constant C and, per j, (j^2, the
-    coefficients of its polynomial in c from the highest power down), both
-    added over i in index order, one rounding per step."""
+def _row(weights: list[float], j: int) -> tuple[float, tuple]:
+    """Term j + 1 of sum_i weights[i] B_i(c): ((j + 1)^2, the coefficients
+    of its polynomial in c from the highest power down), each added over i
+    in index order from 0.0, one rounding per step."""
     w = len(weights)  # order i has degree i + 2 in c: keep w + 2 powers
-    terms = np.array(weights)[:, None, None] * _ROWS[:w, :, _ORDERS - w:]
-    poly = np.add.reduce(terms, axis=0)
+    coeffs = []
+    for entries in _ROWS[j][_ORDERS - w:]:
+        acc = 0.0
+        for i, a in entries:
+            if i >= w:
+                break
+            acc += weights[i] * a
+        coeffs.append(acc)
+    return _J2[j], tuple(coeffs)
+
+
+class _Rows(list):
+    """The (j^2, coefficients) terms of one weighted expansion built so far,
+    and its weights, from which ``_evaluate`` builds the rest on first use."""
+
+    __slots__ = ("weights",)
+
+
+def _combine(weights: list[float]) -> tuple[float, _Rows]:
+    """sum_i weights[i] B_i(c) as its constant C, added over i in index
+    order, and its terms j = 1, 2 (see _row)."""
     const = 0.0
     for weight, row in zip(weights, _TABLE):
         const += weight * row[0]
-    return const, tuple(zip(_J2, map(tuple, poly.tolist())))
+    rows = _Rows(_row(weights, j) for j in range(2))
+    rows.weights = weights
+    return const, rows
 
 
 _SINGLE_ORDERS = tuple(_combine([0.0] * i + [1.0]) for i in range(_ORDERS))
@@ -142,13 +170,14 @@ def _check_argument(c: float) -> None:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
-def _expansion(n: int, k: int) -> tuple[float, tuple, tuple, float]:
+def _expansion(n: int, k: int) -> tuple[float, _Rows, tuple, float]:
     """The order-k expansion at capacity n, its orders weighted by n^(-i/2),
-    as (C, rows, pairs, shift): per power of c from the highest down the
-    coefficients of (-A_1, -A_2), and the shift added to A_2 (-0.0 below
-    k = 4, which leaves every A_2, zeros included).  (n, k) is checked on a
-    cache miss; typed=True keeps True, 10.0 and np.float64(10.0) out of the
-    entries of 1 and 10, which they hash alike."""
+    as (C, rows, pairs, shift): the constant, the terms built so far (see
+    _Rows), per power of c from the highest down the coefficients of
+    (-A_1, -A_2), and the shift added to A_2 (-0.0 below k = 4, which
+    leaves every A_2, zeros included).  (n, k) is checked on a cache miss;
+    typed=True keeps True, 10.0 and np.float64(10.0) out of the entries of
+    1 and 10, which they hash alike."""
     _check_capacity(n)
     if not _is_integer(k) or not 1 <= k <= 5:
         raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")
@@ -189,6 +218,20 @@ def _evaluate(expansion: tuple, c: float) -> float:
         for a in coeffs:
             p = p * c + a
         total += p * e
+    else:  # every term built so far was added: build, keep and add the next
+        # Another thread may grow the rows meanwhile: the last j2 added, not
+        # len(rows), says where to go on, and the slice assignment is one
+        # step that appends row j or replaces the equal row put there first.
+        for j in range(math.isqrt(int(j2)), J_MAX):
+            e = math.exp(-2.0 * _J2[j] * c2)
+            if e == 0.0 or e * scale < abs(total):
+                break
+            row = _row(rows.weights, j)
+            rows[j:j + 1] = (row,)
+            p = 0.0
+            for a in row[1]:
+                p = p * c + a
+            total += p * e
     return total
 
 

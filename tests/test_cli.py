@@ -201,6 +201,14 @@ class TestTable:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("flag, text", [("--n", "6,abc"), ("--k", "1,2.5")])
+    def test_non_integer_list_names_the_flag(self, capsys, flag, text):
+        # once exited 2 with "invalid literal for int() with base 10: 'abc'"
+        code, out, err = run_cli(capsys, "table", "--alpha", "0.05", flag, text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {flag} must be a comma list of integers, "
+                       f"got {text!r}\n")
+
     def test_csv_grid_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--alpha", "0.10",
                                "--n", "6,10", "--k", "1,5", "--format", "csv")
@@ -462,6 +470,12 @@ class TestSimulateCommand:
                                  "--nrep", "20", flag, value)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_non_integer_k_list_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1,x",
+                                 "--nrep", "20")
+        assert (code, out) == (2, "")
+        assert err == "error: --k must be a comma list of integers, got '1,x'\n"
 
     def test_env_seed_checked_like_the_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("KUIPER_SEED", "-3")

@@ -1,6 +1,13 @@
-"""The names the package itself exports."""
+"""The names the package itself exports, and what importing it loads."""
 
+import importlib
+import json
+import os
+import subprocess
+import sys
 import types
+
+import pytest
 
 import kuiper_hoe
 
@@ -10,7 +17,65 @@ HARNESS = {"Probability", "SimConfig", "EdfScheme", "simulate_type1", "utp"}
 
 
 def test_exports_only_the_quick_start_and_harness_names():
-    public = {name for name, value in vars(kuiper_hoe).items()
+    # dir(), not vars(): the names that need NumPy are served on first access
+    public = {name for name in dir(kuiper_hoe)
               if not name.startswith("_")
-              and not isinstance(value, types.ModuleType)}
+              and not isinstance(getattr(kuiper_hoe, name), types.ModuleType)}
     assert public == QUICK_START | HARNESS
+
+
+@pytest.mark.parametrize("name", ["gof", "montecarlo", "baselines"])
+def test_submodules_resolve(name):
+    assert getattr(kuiper_hoe, name) is importlib.import_module(f"kuiper_hoe.{name}")
+
+
+def test_lazy_name_imports_from_its_module():
+    from kuiper_hoe import SampleSet
+    from kuiper_hoe.gof import SampleSet as defined
+    assert SampleSet is defined
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        kuiper_hoe.no_such_name
+    assert not hasattr(kuiper_hoe, "no_such_name")
+
+
+NUMPY_FREE_COMMANDS = [
+    ["pair", "--alpha", "0.05", "--n", "10", "--k", "5"],
+    ["utq", "--alpha", "0.05", "--n", "10", "--k", "3"],
+    ["ltq", "--alpha", "0.05", "--n", "10"],
+    ["invcdf", "--x", "0.5", "--n", "10"],
+    ["cdf", "--v", "0.5", "--n", "10"],
+    ["table", "--alpha", "0.05"],
+]
+
+# Runs each argv of sys.argv[1] through cli.main in one process and prints,
+# as JSON, whether NumPy was loaded after the import and after each call.
+CHILD = """
+import contextlib, io, json, sys
+import kuiper_hoe, kuiper_hoe.cli
+seen = [[None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([kuiper_hoe.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scalar_commands_never_import_numpy(tmp_path):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("".join(f"{(t - 0.5) / 20!r}\n" for t in range(1, 21)))
+    argvs = NUMPY_FREE_COMMANDS + [
+        ["test", "--file", str(sample), "--dist", "uniform(0,1)"],
+        ["simulate", "--n", "10", "--k", "1", "--nrep", "50"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kuiper_hoe.__file__)))
+    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    seen = json.loads(child.stdout)
+    assert seen[:len(NUMPY_FREE_COMMANDS) + 1] == \
+        [[None, False]] + [[0, False]] * len(NUMPY_FREE_COMMANDS)
+    # test and simulate still run, and they are what loads NumPy
+    assert seen[len(NUMPY_FREE_COMMANDS) + 1:] == [[0, True], [0, True]]

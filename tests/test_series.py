@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -483,13 +484,20 @@ def reference_expansion(n, k):
 
 
 def expansion_hex(expansion):
+    """Hex of the constant and of every term.  A cached expansion keeps the
+    terms built so far: all J_MAX of them are built first, through
+    _evaluate at c = 0.05, where no term is cut."""
     const, rows = expansion[:2]
+    if isinstance(rows, series._Rows):
+        series._evaluate(expansion, 0.05)
+    assert len(rows) == series.J_MAX
     return [const.hex()] + [" ".join(map(float.hex, (j2, *coeffs)))
                             for j2, coeffs in rows]
 
 
 def expansion_digest():
-    """sha256 of every (n, k) expansion for n = 1..2000, k = 1..5."""
+    """sha256 of every (n, k) expansion for n = 1..2000, k = 1..5, all
+    J_MAX terms of each (see expansion_hex)."""
     digest = hashlib.sha256()
     for n in range(1, 2001):
         for k in range(1, 6):
@@ -519,6 +527,70 @@ class TestFixedOrderSum:
              "from test_series import expansion_digest; print(expansion_digest())"],
             env=env, capture_output=True, text=True, check=True)
         assert child.stdout.strip() == expansion_digest()
+
+
+class TestLazyTerms:
+    """A cache miss builds the terms j = 1, 2; _evaluate builds and keeps
+    each later term the first time it reaches it."""
+
+    @pytest.mark.parametrize("cs", [(3.0, 0.3), (0.3,), (3.0, 1.2, 0.3, 0.3)],
+                             ids=["large-then-small", "small", "stepwise"])
+    def test_growth_order_is_irrelevant(self, cs):
+        for n in (1, 2, 6, 10, 1000, 10**6):
+            for k in range(1, 6):
+                expansion = series._expansion.__wrapped__(n, k)  # a fresh key
+                rows = expansion[1]
+                assert len(rows) == 2
+                for c in cs:
+                    series._evaluate(expansion, c)
+                assert len(rows) == series.J_MAX
+                assert [j2 for j2, _ in rows] == \
+                    [(j + 1) ** 2 for j in range(series.J_MAX)]
+                assert expansion_hex(expansion) == \
+                    expansion_hex(reference_expansion(n, k)), (n, k, cs)
+
+    def test_threads_growing_one_expansion_agree(self):
+        # threads grow the same fresh expansions at once, each through its
+        # own sequence of c; a term added twice or skipped changes the bits
+        sequences = [(0.05,), (1.5, 0.05), (2.5, 1.0, 0.3), (0.3, 0.05)]
+        keys = [(n, k) for n in range(7, 67) for k in (1, 5)]
+        expansions = [series._expansion.__wrapped__(*key) for key in keys]
+        barrier = threading.Barrier(len(sequences), timeout=60)
+        got, errors = [], []
+
+        def work(seq):
+            try:
+                for expansion in expansions:
+                    barrier.wait()
+                    got.append([series._evaluate(expansion, c) for c in seq])
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seq,))
+                       for seq in sequences]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(got) == len(sequences) * len(keys)
+        want = [[full_sum(reference_expansion(*key), c) for c in seq]
+                for seq in sequences for key in keys]
+        assert sorted(got) == sorted(want)
+        for key, expansion in zip(keys, expansions):
+            assert expansion_hex(expansion) == \
+                expansion_hex(reference_expansion(*key)), key
+
+    def test_large_c_builds_no_term_it_cuts(self):
+        expansion = series._expansion.__wrapped__(10, 5)
+        series._evaluate(expansion, 3.0)
+        assert len(expansion[1]) == 2
 
 
 class TestLargeArgument:
