@@ -27,6 +27,8 @@ _LAZY = {
     "simulate_type1": "montecarlo",
 }
 _SUBMODULES = ("gof", "montecarlo", "baselines")
+__all__ = ["Probability", "cdf_vn", "utp", "kuiper_pair_solver", "kuiper_utq",
+           *_LAZY]
 
 
 def __getattr__(name: str):

@@ -24,6 +24,12 @@ def test_exports_only_the_quick_start_and_harness_names():
     assert public == QUICK_START | HARNESS
 
 
+def test_star_import_gives_the_exported_names():
+    namespace = {}
+    exec("from kuiper_hoe import *", namespace)
+    assert set(namespace) - {"__builtins__"} == QUICK_START | HARNESS
+
+
 @pytest.mark.parametrize("name", ["gof", "montecarlo", "baselines"])
 def test_submodules_resolve(name):
     assert getattr(kuiper_hoe, name) is importlib.import_module(f"kuiper_hoe.{name}")
