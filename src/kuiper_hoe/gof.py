@@ -138,11 +138,20 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
 
     A 2-D array of shape (m, n) holds m samples, one per row, and gives
     three arrays of m per-row values; a 1-D sequence gives three floats.
+
+    Where D+ and D- share positions (every scheme but STEPHENS_MIXED), one
+    difference array gives both: q - p is exactly -(p - q), and 0.0 - x
+    keeps a zero positive.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     upper, lower = _positions(q.shape[-1], scheme)
-    d_plus = np.maximum((upper - q).max(axis=-1), 0.0)
-    d_minus = np.maximum((q - lower).max(axis=-1), 0.0)
+    if scheme is EdfScheme.STEPHENS_MIXED:
+        d_plus = np.maximum((upper - q).max(axis=-1), 0.0)
+        d_minus = np.maximum((q - lower).max(axis=-1), 0.0)
+    else:
+        diff = upper - q
+        d_plus = np.maximum(diff.max(axis=-1), 0.0)
+        d_minus = np.maximum(0.0 - diff.min(axis=-1), 0.0)
     if q.ndim == 1:
         d_plus, d_minus = float(d_plus), float(d_minus)
     return d_plus, d_minus, d_plus + d_minus

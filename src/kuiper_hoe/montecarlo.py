@@ -157,7 +157,13 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
         for k, v_crit in crit.items():
             rejections[f"hoe_k{k}"] += int(np.count_nonzero(stat[2] > v_crit))
         if use_ks or use_stephens:
-            if cfg.scheme is not EdfScheme.STEPHENS_MIXED:
+            if cfg.scheme is EdfScheme.SCHEME0:
+                # STEPHENS_MIXED takes D+ at scheme0's positions t/n and
+                # D- at scheme1's (t-1)/n
+                d_plus = stat[0]
+                d_minus = vn_from_probs(q, EdfScheme.SCHEME1)[1]
+                stat = d_plus, d_minus, d_plus + d_minus
+            elif cfg.scheme is not EdfScheme.STEPHENS_MIXED:
                 stat = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
             d_plus, d_minus, v_exact = stat
             if use_ks:

@@ -9,9 +9,9 @@ the quantile of the raw one.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
-from dataclasses import dataclass
 
 from .series import _check_argument, _expansion
 
@@ -66,19 +66,28 @@ class FixedPointDomainError(ValueError):
         self.steps = 0
 
 
-@dataclass(frozen=True)
-class KuiperPair:
+class _DataclassFields:
+    """A class's ``__dataclass_fields__``, made on first use, so that the
+    ``dataclasses`` helpers (``replace``, ``fields``, ``asdict``) take the
+    class without this module importing ``dataclasses`` and, through it,
+    ``inspect``."""
+
+    def __get__(self, obj, owner):
+        import dataclasses
+        fields = dataclasses.make_dataclass(
+            owner.__name__, owner._fields).__dataclass_fields__
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
+class KuiperPair(collections.namedtuple(
+        "KuiperPair", "c v alpha n k iterations residual")):
     """A solved (critical value, quantile) pair at level alpha, capacity n,
     expansion order k, with the iteration count and the log-residual at the
-    returned point."""
+    returned point.  A named tuple: read-only, compared and hashed by value."""
 
-    c: float
-    v: float
-    alpha: float
-    n: int
-    k: int
-    iterations: int
-    residual: float
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
 
 def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:

@@ -1,4 +1,5 @@
-"""Shared fixtures: cached Monte Carlo draws of the exact Kuiper statistic."""
+"""Shared fixtures and helpers: cached Monte Carlo draws of the exact Kuiper
+statistic, and the statistic of each plotting scheme by the plain formula."""
 
 import math
 
@@ -26,6 +27,34 @@ def exact_vn_samples(n: int, reps: int, seed: int) -> np.ndarray:
         done += m
     out.sort()
     return out
+
+
+# (a for D+, a for D-, b) of each EdfScheme value's plotting positions
+# (t - a)/(n + b) of the t-th order statistic
+SCHEME_POSITIONS = {
+    "scheme0": (0.0, 0.0, 0.0),
+    "scheme1": (1.0, 1.0, 0.0),
+    "scheme2": (0.5, 0.5, 0.0),
+    "scheme3": (0.0, 0.0, 1.0),
+    "scheme4": (0.375, 0.375, 0.25),
+    "stephens_mixed": (0.0, 1.0, 0.0),
+}
+
+
+def scheme_positions(n: int, scheme) -> tuple:
+    """The positions against which D+ and D- are taken, for an EdfScheme."""
+    a_plus, a_minus, b = SCHEME_POSITIONS[scheme.value]
+    t = np.arange(1, n + 1).astype(float)
+    return (t - a_plus) / (n + b), (t - a_minus) / (n + b)
+
+
+def inline_vn(q: np.ndarray, scheme) -> tuple:
+    """(D+, D-, V_n) of sorted CDF values q (one sample per row) by the
+    plain formula, one subtraction per side."""
+    upper, lower = scheme_positions(q.shape[-1], scheme)
+    d_plus = np.maximum((upper - q).max(-1), 0.0)
+    d_minus = np.maximum((q - lower).max(-1), 0.0)
+    return d_plus, d_minus, d_plus + d_minus
 
 
 @pytest.fixture(scope="session")

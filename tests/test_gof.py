@@ -18,7 +18,7 @@ from kuiper_hoe.gof import (
     vn_from_probs,
 )
 from kuiper_hoe.montecarlo import normal_cdf
-from conftest import empirical_tail
+from conftest import empirical_tail, inline_vn, scheme_positions
 
 identity = lambda x: min(1.0, max(0.0, x))
 
@@ -195,6 +195,43 @@ class TestComputeVn:
     def test_one_dimensional_input_gives_floats(self):
         for q in ([0.2, 0.7], np.array([0.2, 0.7])):
             assert all(type(x) is float for x in vn_from_probs(q))
+
+
+def hexes(values):
+    return [x.hex() for x in np.atleast_1d(values).tolist()]
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("scheme", list(EdfScheme))
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 180])
+    def test_matches_inline_formula_bit_for_bit(self, scheme, n):
+        upper, lower = scheme_positions(n, scheme)
+        t = np.arange(1, n + 1).astype(float)
+        # rows on the exact grids (zero differences), on this scheme's
+        # positions, and just below its D- positions, where D- floors at 0
+        special = np.array([t / n, (t - 1.0) / n, upper, lower,
+                            lower - 0.25 / n])
+        random = np.sort(np.random.default_rng(n).random((200, n)), axis=1)
+        q = np.concatenate([special, random])
+        got = vn_from_probs(q, scheme)
+        want = inline_vn(q, scheme)
+        assert [hexes(x) for x in got] == [hexes(x) for x in want]
+        assert got[1][4] == 0.0
+        for row in q:
+            assert [hexes(x) for x in vn_from_probs(row, scheme)] == [
+                hexes(x) for x in inline_vn(row, scheme)]
+
+    @pytest.mark.parametrize("n", [1, 3, 50, 180])
+    def test_mixed_is_scheme0_plus_and_scheme1_minus(self, n):
+        q = np.sort(np.random.default_rng(100 + n).random((300, n)), axis=1)
+        q[0] = np.arange(1.0, n + 1.0) / n
+        q[1] = np.arange(0.0, n) / n
+        d_plus, d_minus, v_n = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
+        plus0 = vn_from_probs(q, EdfScheme.SCHEME0)[0]
+        minus1 = vn_from_probs(q, EdfScheme.SCHEME1)[1]
+        assert hexes(d_plus) == hexes(plus0)
+        assert hexes(d_minus) == hexes(minus1)
+        assert hexes(v_n) == hexes(plus0 + minus1)
 
 
 def per_point_vn(values, cdf, scheme=EdfScheme.STEPHENS_MIXED):

@@ -11,6 +11,7 @@ from kuiper_hoe.solver import (
     ConvergenceError,
     DegenerateDerivativeError,
     FixedPointDomainError,
+    KuiperPair,
     _iterate,
     _newton_step,
     f_ctm,
@@ -497,3 +498,41 @@ class TestConfigValidation:
     def test_numpy_integers_accepted(self):
         want = kuiper_pair_solver(0.05, 10, 5)
         assert kuiper_pair_solver(0.05, np.int64(10), np.int64(5)).c == want.c
+
+
+class TestKuiperPairValue:
+    """The value semantics of a solved pair: keyword construction, repr,
+    equality and hash between pairs, read-only fields, and the dataclasses
+    helpers that callers use on it."""
+
+    FIELDS = dict(c=1.5, v=0.5, alpha=0.05, n=9, k=5, iterations=4,
+                  residual=-1e-17)
+
+    def test_keyword_construction_and_repr(self):
+        pair = KuiperPair(**self.FIELDS)
+        assert [getattr(pair, name) for name in self.FIELDS] == list(
+            self.FIELDS.values())
+        assert repr(pair) == ("KuiperPair(c=1.5, v=0.5, alpha=0.05, n=9, "
+                              "k=5, iterations=4, residual=-1e-17)")
+
+    def test_equal_pairs_compare_and_hash_equal(self):
+        a, b = KuiperPair(**self.FIELDS), KuiperPair(**self.FIELDS)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != KuiperPair(**{**self.FIELDS, "iterations": 5})
+        assert kuiper_pair_solver(0.05, 10, 5) == kuiper_pair_solver(0.05, 10, 5)
+
+    @pytest.mark.parametrize("name", ["c", "residual", "extra"])
+    def test_assignment_raises_attribute_error(self, name):
+        pair = KuiperPair(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            setattr(pair, name, 2.0)
+        assert pair == KuiperPair(**self.FIELDS)
+
+    def test_dataclasses_replace_and_fields(self):
+        import dataclasses
+        pair = kuiper_pair_solver(0.05, 10, 5)
+        moved = dataclasses.replace(pair, c=pair.c + 1e-3)
+        assert type(moved) is KuiperPair
+        assert moved.c == pair.c + 1e-3 and moved.v == pair.v
+        assert [f.name for f in dataclasses.fields(pair)] == list(self.FIELDS)
+        assert dataclasses.asdict(pair)["iterations"] == pair.iterations
