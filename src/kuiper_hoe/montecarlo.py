@@ -9,7 +9,12 @@ spawn_key=(b,)), with m = min(BLOCK_REPS, replications left), and sorts
 each row.  The sorted uniforms serve directly as the hypothesized CDF
 values F(X_(t)): a standard-normal sample mapped back through its own CDF
 is that uniform sample again, so the normal transform is skipped.  One
-row-wise statistic call per block gives every replication's V_n.
+row-wise ``vn_from_probs`` pass per block gives every replication's V_n
+under the configured scheme; where D+ and D- share positions, that pass
+forms one difference array.  The comparators need the exact statistic
+(STEPHENS_MIXED: D+ at t/n, D- at (t-1)/n).  Under scheme0 it is the
+block's D+ with the D- of a scheme1 pass, so the block makes two (m, n)
+subtractions in all; under any other scheme it is a STEPHENS_MIXED pass.
 
 A given (seed, n, n_rep) reproduces the same rejection counts on every
 run.  They differ from releases that drew one substream per replication,
