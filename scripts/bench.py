@@ -11,10 +11,7 @@ neither.  ``workloads``: per workload, a round per seed of ``perfbench/run.py
 ``layers``: a round per seed of LAYER_SCRIPT (series calls and an alpha-0.05
 pair solve on the cdf_curve keys, which the cache holds, and ``fresh_key_us``:
 an alpha-0.05 upper tail quantile and a full ``utp`` on a key never used
-before, gof's series cost per op; ``vn_block_scheme0_us`` and
-``vn_block_mixed_us``: ``vn_from_probs`` on one sorted (1024, 180) block, and
-``sim_block_us``: a 1024-replication ``simulate_type1`` at n = 180 with both
-comparators, calibrate's costs per block).
+before, gof's series cost per op).
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
 import included.  Per side (``parent``, ``checkout``) a section holds every
 metric's runs, median, quartiles and minimum (for a time, the run least
@@ -43,14 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 MEASURED_PATHS = ("src", "perfbench", "tests/table_data.py", "BENCHMARK.json")
 
 LAYER_REPEATS = 7
-BLOCK_PASSES = 100
 LAYER_SCRIPT = """
 import itertools, json, statistics, time
 import numpy as np
 from kuiper_hoe.series import cdf_kn, utp
 from kuiper_hoe.solver import kuiper_pair_solver, kuiper_utq
-from kuiper_hoe.gof import EdfScheme, vn_from_probs
-from kuiper_hoe.montecarlo import SimConfig, simulate_type1
 grid = np.linspace(0.3, 3.5, 200).tolist()
 keys = [(n, k) for n in (6, 10, 50, 1000) for k in range(1, 6)]
 fresh = itertools.count(10_000)
@@ -65,30 +59,15 @@ calls = {"cdf_kn_us": cdf_kn,
          "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True),
          "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k),
          "fresh_key_us": fresh_key}
-# calibrate's costs per block: the statistic of one sorted (1024, 180) block,
-# and one block of simulate_type1 with both comparators
-block = np.sort(np.random.default_rng(0).random((1024, 180)), axis=1)
-sim = SimConfig(n=180, n_rep=1024, comparators=("ks", "stephens"))
-blocks = {"vn_block_scheme0_us": lambda: vn_from_probs(block, EdfScheme.SCHEME0),
-          "vn_block_mixed_us": lambda: vn_from_probs(block, EdfScheme.STEPHENS_MIXED),
-          "sim_block_us": lambda: simulate_type1(sim)}
 def seconds_per_call(f):
     start = time.perf_counter()
     for n, k in keys:
         for c in grid:
             f(c, n, k)
     return (time.perf_counter() - start) / (len(keys) * len(grid))
-def seconds_per_block(f):
-    start = time.perf_counter()
-    for _ in range(%d):
-        f()
-    return (time.perf_counter() - start) / %d
-def median_us(timer, f):
-    return statistics.median([timer(f) for _ in range(%d + 1)][1:]) * 1e6
-out = {name: median_us(seconds_per_call, f) for name, f in calls.items()}
-out.update({name: median_us(seconds_per_block, f) for name, f in blocks.items()})
-print(json.dumps(out))
-""" % (BLOCK_PASSES, BLOCK_PASSES, LAYER_REPEATS)
+print(json.dumps({name: statistics.median([seconds_per_call(f) for _ in range(
+    %d + 1)][1:]) * 1e6 for name, f in calls.items()}))
+""" % LAYER_REPEATS
 
 CLI_REPEATS = 9
 # Timed CLI commands; {sample} is the generated 200-point data file.

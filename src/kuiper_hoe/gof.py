@@ -114,10 +114,13 @@ _POSITIONS = {
 
 
 def _positions(n: int, scheme: EdfScheme) -> tuple[np.ndarray, np.ndarray]:
-    """The n plotting positions against which D+ and D- are taken."""
+    """The n plotting positions against which D+ and D- are taken; one
+    array, twice, where the two share positions."""
     a_plus, a_minus, b = _POSITIONS[scheme]
-    return (np.arange(1.0 - a_plus, n + 1.0 - a_plus) / (n + b),
-            np.arange(1.0 - a_minus, n + 1.0 - a_minus) / (n + b))
+    upper = np.arange(1.0 - a_plus, n + 1.0 - a_plus) / (n + b)
+    if a_minus == a_plus:
+        return upper, upper
+    return upper, np.arange(1.0 - a_minus, n + 1.0 - a_minus) / (n + b)
 
 
 def edf_probs(n: int, scheme: EdfScheme) -> list:
@@ -139,19 +142,18 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     A 2-D array of shape (m, n) holds m samples, one per row, and gives
     three arrays of m per-row values; a 1-D sequence gives three floats.
 
-    Where D+ and D- share positions (every scheme but STEPHENS_MIXED), one
-    difference array gives both: q - p is exactly -(p - q), and 0.0 - x
-    keeps a zero positive.
+    D- is taken as 0.0 minus the minimum of p - q, which is the maximum of
+    q - p (IEEE subtraction gives q - p == -(p - q) exactly), so where D+
+    and D- share positions (every scheme but STEPHENS_MIXED) one difference
+    array gives both.  The floor makes a zero of either sign +0.0.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     upper, lower = _positions(q.shape[-1], scheme)
-    if scheme is EdfScheme.STEPHENS_MIXED:
-        d_plus = np.maximum((upper - q).max(axis=-1), 0.0)
-        d_minus = np.maximum((q - lower).max(axis=-1), 0.0)
-    else:
-        diff = upper - q
-        d_plus = np.maximum(diff.max(axis=-1), 0.0)
-        d_minus = np.maximum(0.0 - diff.min(axis=-1), 0.0)
+    diff = upper - q
+    d_plus = np.maximum(diff.max(axis=-1), 0.0)
+    if lower is not upper:
+        diff = lower - q
+    d_minus = np.maximum(0.0 - diff.min(axis=-1), 0.0)
     if q.ndim == 1:
         d_plus, d_minus = float(d_plus), float(d_minus)
     return d_plus, d_minus, d_plus + d_minus

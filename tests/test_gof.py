@@ -208,15 +208,17 @@ class TestKernelBits:
         upper, lower = scheme_positions(n, scheme)
         t = np.arange(1, n + 1).astype(float)
         # rows on the exact grids (zero differences), on this scheme's
-        # positions, and just below its D- positions, where D- floors at 0
+        # positions, just below its D- positions, where D- floors at 0, and
+        # that row from a -0.0 CDF value, where q - p is -0.0 at t = 1
         special = np.array([t / n, (t - 1.0) / n, upper, lower,
-                            lower - 0.25 / n])
+                            lower - 0.25 / n,
+                            np.concatenate([[-0.0], lower[1:] - 0.25 / n])])
         random = np.sort(np.random.default_rng(n).random((200, n)), axis=1)
         q = np.concatenate([special, random])
         got = vn_from_probs(q, scheme)
         want = inline_vn(q, scheme)
         assert [hexes(x) for x in got] == [hexes(x) for x in want]
-        assert got[1][4] == 0.0
+        assert hexes(got[1][4:6]) == hexes([0.0, 0.0])
         for row in q:
             assert [hexes(x) for x in vn_from_probs(row, scheme)] == [
                 hexes(x) for x in inline_vn(row, scheme)]
