@@ -24,15 +24,16 @@ have a quantile there.  Prints the outcome counts and a sha256 per part.
 A solved pair feeds ``c.hex()``, its iteration count and ``residual.hex()``
 into the solver digest, a failed one its exception type, message,
 ``argument`` and ``steps``, and each solve then the category and text of
-every warning it emitted; each series value feeds ``raw.hex()``, each
-statistic the ``hex()`` of D+, D- and V_n, each quantile its ``hex()`` or
-its exception type and message, each position its ``hex()``, and each
-simulation its rejection counts.  The cli part runs a fixed list of
-text-format ``cli.main`` calls (the README examples, ``table`` at the
-seven reference levels and at 0.001, two simulations, ``test`` on a
-seeded file, and calls that exit 2 or 3) and hashes each one's argv,
-stdout, stderr and exit code, with its temporary directory written as
-``<tmp>``.  Two revisions that print the same lines give the same numbers
+every warning it emitted; each series ``Probability`` feeds the ``hex()``
+of its raw and clamped values, ``clamped`` and ``warning``, each
+``b_series`` value its ``hex()``, each statistic the ``hex()`` of D+, D-
+and V_n, each quantile its ``hex()`` or its exception type and message,
+each position its ``hex()``, and each simulation its rejection counts.
+The cli part runs a fixed list of text-format ``cli.main`` calls (the
+README examples, ``table`` at the seven reference levels and at 0.001,
+two simulations, ``test`` on a seeded file, and calls that exit 2 or 3)
+and hashes each one's argv, stdout, stderr and exit code, with its
+temporary directory written as ``<tmp>``.  Two revisions that print the same lines give the same numbers
 on this grid.
 """
 
@@ -138,6 +139,10 @@ def solver_part() -> tuple[collections.Counter, str]:
     return counts, digest.hexdigest()
 
 
+def probability_record(p) -> bytes:
+    return f"{p.raw.hex()} {float(p).hex()} {p.clamped} {p.warning}\n".encode()
+
+
 def series_part() -> tuple[int, str]:
     digest = hashlib.sha256()
     values = 0
@@ -145,7 +150,7 @@ def series_part() -> tuple[int, str]:
         for k in ORDERS:
             for c in SERIES_C.tolist():
                 for p in (utp(c, n, k, truncated=True), cdf_kn(c, n, k)):
-                    digest.update(p.raw.hex().encode() + b"\n")
+                    digest.update(probability_record(p))
                     values += 1
     return values, digest.hexdigest()
 
@@ -161,7 +166,7 @@ def series_wide_part() -> tuple[int, str]:
         for k in ORDERS:
             for c in WIDE_C.tolist():
                 for p in (cdf_kn(c, n, k), utp(c, n, k)):
-                    digest.update(p.raw.hex().encode() + b"\n")
+                    digest.update(probability_record(p))
                     values += 1
     return values, digest.hexdigest()
 

@@ -240,18 +240,19 @@ class Probability(float):
 
     ``raw`` is the series value before clamping, ``clamped`` says whether
     clamping changed it, and ``warning`` carries an accuracy advisory when
-    the evaluation point was below the series trust floor.
+    the evaluation point was below the series trust floor.  NaN clamps to
+    0.0 (clamped) and -0.0 to +0.0 (not clamped).  These three slots are
+    the only attributes.
     """
 
-    raw: float
-    clamped: bool
-    warning: str | None
+    __slots__ = ("raw", "clamped", "warning")
 
     def __new__(cls, raw: float, warning: str | None = None) -> "Probability":
-        value = min(1.0, max(0.0, float(raw)))
-        self = super().__new__(cls, value)
-        self.raw = float(raw)
-        self.clamped = value != float(raw)
+        raw = float(raw)
+        value = raw if 0.0 < raw <= 1.0 else 1.0 if raw > 1.0 else 0.0
+        self = float.__new__(cls, value)
+        self.raw = raw
+        self.clamped = value != raw
         self.warning = warning
         return self
 
@@ -264,7 +265,8 @@ def b_series(i: int, c: float) -> float:
     """
     if not _is_integer(i) or not 0 <= i <= 5:
         raise ValueError(f"coefficient index i must be an integer in 0..5, got {i!r}")
-    _check_argument(c)
+    if not 0.0 < c < math.inf:
+        _check_argument(c)
     return _evaluate(_SINGLE_ORDERS[i], c)
 
 
@@ -293,7 +295,8 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     """
     if not _is_integer(j) or j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
-    _check_argument(c)
+    if not 0.0 < c < math.inf:
+        _check_argument(c)
     return _tail_coefficients(_expansion(n, k), c)[j - 1]
 
 
@@ -311,14 +314,17 @@ def cdf_kn(c: float, n: int, k: int) -> Probability:
     1 - 1/(18n) + 1/(648n^2) rather than exactly 1; the residue is the
     order-n^{-1} constant of the expansion itself.
     """
-    _check_argument(c)
-    return Probability(_evaluate(_expansion(n, k), c), warning=_floor_warning(c))
+    if not 0.0 < c < math.inf:
+        _check_argument(c)
+    return Probability(_evaluate(_expansion(n, k), c),
+                       _floor_warning(c) if c < TRUST_FLOOR else None)
 
 
 def _scale_v(v: float, n: int) -> float:
     """c = v * sqrt(n), after checking n and v; a v whose c overflows is
     rejected by a message naming v and n."""
-    _check_capacity(n)
+    if not (type(n) is int and 1 <= n <= _FLOAT_MAX):
+        _check_capacity(n)
     if not 0.0 < v < math.inf:
         raise ValueError(f"statistic argument v must be positive and finite, got {v}")
     c = v * math.sqrt(n)
@@ -340,7 +346,8 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     [1 + A_0] + A_1 e^{-2c^2} + A_2 e^{-8c^2} is evaluated instead of the
     full series; useful for cross-checking solver residuals.
     """
-    _check_argument(c)
+    if not 0.0 < c < math.inf:
+        _check_argument(c)
     if truncated:
         expansion = _expansion(n, k)
         c2 = c * c
@@ -351,4 +358,4 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
             raw = raw + a1 * e1 + a2 * math.exp(-8.0 * c2)
     else:
         raw = 1.0 - _evaluate(_expansion(n, k), c)
-    return Probability(raw, warning=_floor_warning(c))
+    return Probability(raw, _floor_warning(c) if c < TRUST_FLOOR else None)

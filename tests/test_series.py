@@ -1,10 +1,12 @@
 """Tests for the coefficient series, the CDF/UTP evaluators, and the
 truncated coefficient blocks."""
 
+import copy
 import functools
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -381,6 +383,72 @@ class TestUtp:
         assert 0.0 <= float(p) <= 1.0
 
 
+class TestProbabilityValue:
+    """The clamp and the fields of a Probability, pinned by their bits."""
+
+    # (raw argument, float(p).hex(), p.raw.hex(), p.clamped): NaN clamps to
+    # 0.0 and counts as clamped; -0.0 becomes +0.0 and does not
+    CASES = (
+        (math.nan, "0x0.0p+0", "nan", True),
+        (0.0, "0x0.0p+0", "0x0.0p+0", False),
+        (-0.0, "0x0.0p+0", "-0x0.0p+0", False),
+        (math.inf, "0x1.0000000000000p+0", "inf", True),
+        (-math.inf, "0x0.0p+0", "-inf", True),
+        (5e-324, "0x0.0000000000001p-1022", "0x0.0000000000001p-1022", False),
+        (-1e-300, "0x0.0p+0", "-0x1.56e1fc2f8f359p-997", True),
+        (1.0, "0x1.0000000000000p+0", "0x1.0000000000000p+0", False),
+        (math.nextafter(1.0, 2.0), "0x1.0000000000000p+0",
+         "0x1.0000000000001p+0", True),
+        (1.5, "0x1.0000000000000p+0", "0x1.8000000000000p+0", True),
+        (3, "0x1.0000000000000p+0", "0x1.8000000000000p+1", True),
+        (0, "0x0.0p+0", "0x0.0p+0", False),
+        (True, "0x1.0000000000000p+0", "0x1.0000000000000p+0", False),
+        (False, "0x0.0p+0", "0x0.0p+0", False),
+        (np.float64(0.25), "0x1.0000000000000p-2", "0x1.0000000000000p-2", False),
+        (np.float64(-2.0), "0x0.0p+0", "-0x1.0000000000000p+1", True),
+    )
+
+    @staticmethod
+    def fields(p):
+        return float(p).hex(), p.raw.hex(), p.clamped, p.warning
+
+    @pytest.mark.parametrize("raw,value,raw_hex,clamped", CASES,
+                             ids=[repr(case[0]) for case in CASES])
+    def test_clamp(self, raw, value, raw_hex, clamped):
+        p = Probability(raw)
+        assert type(p) is Probability and type(p.raw) is float
+        assert self.fields(p) == (value, raw_hex, clamped, None)
+
+    @pytest.mark.parametrize("raw,warning,want", [
+        (0.5, "advisory", ("0x1.0000000000000p-1", "0x1.0000000000000p-1", False,
+                           "advisory")),
+        (math.nan, "advisory", ("0x0.0p+0", "nan", True, "advisory")),
+        (2.0, None, ("0x1.0000000000000p+0", "0x1.0000000000000p+1", True, None)),
+    ])
+    def test_warning_keyword(self, raw, warning, want):
+        assert self.fields(Probability(raw, warning=warning)) == want
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda p: pickle.loads(pickle.dumps(p, protocol=2)),
+        lambda p: pickle.loads(pickle.dumps(p)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle-2", "pickle-default", "copy", "deepcopy"])
+    def test_copies_keep_every_field(self, copy_of):
+        for p in (Probability(1.5, warning="advisory"), Probability(math.nan),
+                  Probability(-0.0), Probability(0.25), cdf_kn(0.18, 4, 5)):
+            q = copy_of(p)
+            assert type(q) is Probability
+            assert self.fields(q) == self.fields(p)
+
+    def test_no_other_attributes(self):
+        # __slots__: the three fields and nothing else
+        p = Probability(0.5)
+        with pytest.raises(AttributeError):
+            p.note = "x"
+        assert not hasattr(p, "__dict__")
+
+
 # --------------------------------------------------------------------------
 # the early exit of the j sum
 # --------------------------------------------------------------------------
@@ -721,6 +789,241 @@ class TestMalformedInput:
             for key in (np.int64(n), n):
                 assert fun_a0(key, 5) == pytest.approx(want_a0, rel=1e-15, abs=0)
                 assert cdf_kn(1.5, key, 5).raw == pytest.approx(want_cdf, abs=1e-13)
+
+
+# Invalid calls to the scalar entry points and the ValueError each raises:
+# every bad value alone, then bad values together, so that the check that
+# fires first is pinned (cdf_vn checks n before v; fun_aj checks j, c, n, k).
+ERROR_CASES = (
+    ('cdf_kn(0.0, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('cdf_kn(-1.0, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('cdf_kn(nan, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('cdf_kn(inf, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('cdf_kn(1.5, 0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('cdf_kn(1.5, True, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('cdf_kn(1.5, 10.0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 10.0'),
+    ('cdf_kn(1.5, np.float64(10), 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got np.float64(10.0)'),
+    ('cdf_kn(1.5, 10, 0)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 0'),
+    ('cdf_kn(1.5, 10, 6)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 6'),
+    ('cdf_kn(1.5, 10, True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got True'),
+    ('cdf_kn(nan, 0, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('cdf_kn(nan, 10, 6)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('cdf_kn(1.5, 0, 6)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('cdf_kn(nan, 0, 6)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('cdf_vn(0.0, 10, 5)',
+     'ValueError', 'statistic argument v must be positive and finite, got 0.0'),
+    ('cdf_vn(-1.0, 10, 5)',
+     'ValueError', 'statistic argument v must be positive and finite, got -1.0'),
+    ('cdf_vn(nan, 10, 5)',
+     'ValueError', 'statistic argument v must be positive and finite, got nan'),
+    ('cdf_vn(inf, 10, 5)',
+     'ValueError', 'statistic argument v must be positive and finite, got inf'),
+    ('cdf_vn(1e308, 10, 5)',
+     'ValueError', 'statistic argument v=1e+308 overflows c = v * sqrt(n) at n=10'),
+    ('cdf_vn(0.5, 0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('cdf_vn(0.5, True, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('cdf_vn(0.5, 10.0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 10.0'),
+    ('cdf_vn(0.5, np.float64(10), 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got np.float64(10.0)'),
+    ('cdf_vn(0.5, 10, 0)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 0'),
+    ('cdf_vn(0.5, 10, 6)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 6'),
+    ('cdf_vn(0.5, 10, True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got True'),
+    ('cdf_vn(-1.0, True, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('cdf_vn(-1.0, 10, 0)',
+     'ValueError', 'statistic argument v must be positive and finite, got -1.0'),
+    ('cdf_vn(0.5, True, 0)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('cdf_vn(-1.0, True, 0)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('cdf_vn(1e308, 10, 0)',
+     'ValueError', 'statistic argument v=1e+308 overflows c = v * sqrt(n) at n=10'),
+    ('cdf_vn(1e308, 0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('utp(0.0, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('utp(-1.0, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('utp(nan, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('utp(inf, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('utp(1.5, 0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('utp(1.5, True, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('utp(1.5, 10.0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 10.0'),
+    ('utp(1.5, np.float64(10), 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got np.float64(10.0)'),
+    ('utp(1.5, 10, 0)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 0'),
+    ('utp(1.5, 10, 6)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 6'),
+    ('utp(1.5, 10, True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got True'),
+    ('utp(inf, 10.0, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('utp(inf, 10, True)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('utp(1.5, 10.0, True)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 10.0'),
+    ('utp(inf, 10.0, True)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('utp(0.0, 10, 5, truncated=True)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('utp(-1.0, 10, 5, truncated=True)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('utp(nan, 10, 5, truncated=True)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('utp(inf, 10, 5, truncated=True)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('utp(1.5, 0, 5, truncated=True)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('utp(1.5, True, 5, truncated=True)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('utp(1.5, 10.0, 5, truncated=True)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 10.0'),
+    ('utp(1.5, np.float64(10), 5, truncated=True)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got np.float64(10.0)'),
+    ('utp(1.5, 10, 0, truncated=True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 0'),
+    ('utp(1.5, 10, 6, truncated=True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 6'),
+    ('utp(1.5, 10, True, truncated=True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got True'),
+    ('utp(0.0, np.float64(10), 5, truncated=True)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('utp(0.0, 10, 0, truncated=True)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('utp(1.5, np.float64(10), 0, truncated=True)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got np.float64(10.0)'),
+    ('utp(0.0, np.float64(10), 0, truncated=True)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('b_series(-1, 1.5)',
+     'ValueError', 'coefficient index i must be an integer in 0..5, got -1'),
+    ('b_series(6, 1.5)',
+     'ValueError', 'coefficient index i must be an integer in 0..5, got 6'),
+    ('b_series(True, 1.5)',
+     'ValueError', 'coefficient index i must be an integer in 0..5, got True'),
+    ('b_series(2, 0.0)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('b_series(2, -1.0)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('b_series(2, nan)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('b_series(2, inf)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('b_series(6, nan)',
+     'ValueError', 'coefficient index i must be an integer in 0..5, got 6'),
+    ('fun_aj(0, 1.5, 10, 5)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 0'),
+    ('fun_aj(3, 1.5, 10, 5)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_aj(True, 1.5, 10, 5)',
+     'ValueError', 'coefficient index j must be 1 or 2, got True'),
+    ('fun_aj(1, 0.0, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got 0.0'),
+    ('fun_aj(1, -1.0, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('fun_aj(1, nan, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got nan'),
+    ('fun_aj(1, inf, 10, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got inf'),
+    ('fun_aj(1, 1.5, 0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('fun_aj(1, 1.5, True, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('fun_aj(1, 1.5, 10.0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 10.0'),
+    ('fun_aj(1, 1.5, np.float64(10), 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got np.float64(10.0)'),
+    ('fun_aj(1, 1.5, 10, 0)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 0'),
+    ('fun_aj(1, 1.5, 10, 6)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 6'),
+    ('fun_aj(1, 1.5, 10, True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got True'),
+    ('fun_aj(3, -1.0, 10, 5)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_aj(3, 1.5, 0, 5)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_aj(3, 1.5, 10, True)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_aj(1, -1.0, 0, 5)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('fun_aj(1, -1.0, 10, True)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('fun_aj(1, 1.5, 0, True)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('fun_aj(3, -1.0, 0, 5)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_aj(3, -1.0, 10, True)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_aj(3, 1.5, 0, True)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_aj(1, -1.0, 0, True)',
+     'ValueError', 'statistic argument c must be positive and finite, got -1.0'),
+    ('fun_aj(3, -1.0, 0, True)',
+     'ValueError', 'coefficient index j must be 1 or 2, got 3'),
+    ('fun_a0(0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 0'),
+    ('fun_a0(True, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+    ('fun_a0(10.0, 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got 10.0'),
+    ('fun_a0(np.float64(10), 5)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got np.float64(10.0)'),
+    ('fun_a0(10, 0)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 0'),
+    ('fun_a0(10, 6)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got 6'),
+    ('fun_a0(10, True)',
+     'ValueError', 'expansion order k must be an integer in 1..5, got True'),
+    ('fun_a0(True, 6)',
+     'ValueError', 'sample capacity n must be an integer >= 1, got True'),
+)
+ERROR_NAMESPACE = {"nan": math.nan, "inf": math.inf, "np": np, "cdf_kn": cdf_kn,
+                   "cdf_vn": cdf_vn, "utp": utp, "b_series": b_series,
+                   "fun_aj": fun_aj, "fun_a0": fun_a0}
+
+
+class TestErrorOrder:
+    @pytest.mark.parametrize("call,kind,message", ERROR_CASES,
+                             ids=[case[0] for case in ERROR_CASES])
+    def test_first_failing_check_and_its_message(self, call, kind, message):
+        with pytest.raises(Exception) as err:
+            eval(call, dict(ERROR_NAMESPACE))
+        assert (type(err.value).__name__, str(err.value)) == (kind, message)
+
+    def test_valid_twins_of_the_cases_pass(self):
+        # the same calls with every argument valid return a value
+        for call in ("cdf_kn(1.5, 10, 5)", "cdf_vn(0.5, 10, 5)", "utp(1.5, 10, 5)",
+                     "utp(1.5, 10, 5, truncated=True)", "b_series(2, 1.5)",
+                     "fun_aj(1, 1.5, 10, 5)", "fun_a0(10, 5)",
+                     "cdf_vn(0.5, np.int64(10), np.int32(5))"):
+            assert math.isfinite(eval(call, dict(ERROR_NAMESPACE)))
 
 
 class TestSeriesAccuracy:
