@@ -246,6 +246,9 @@ class Probability(float):
     """
 
     __slots__ = ("raw", "clamped", "warning")
+    raw: float
+    clamped: bool
+    warning: str | None
 
     def __new__(cls, raw: float, warning: str | None = None) -> "Probability":
         raw = float(raw)
