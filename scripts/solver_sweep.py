@@ -6,9 +6,11 @@
 Solves every cell of both methods x 310 alphas (log-spaced in
 [5e-4, 0.9995]) x 19 capacities x k = 1..5, 58,900 solves, and evaluates
 ``utp(truncated=True)`` and ``cdf_kn`` at 400 points of c in [0.3, 3.5]
-for n in {6, 10, 50, 1000} x k = 1..5.  The series-wide part evaluates
-``b_series`` for i = 0..5, ``cdf_kn`` and the full ``utp`` at 2,400 points
-of c in [0.05, 12] for n in {1, 2, 3, 6, 7, 10, 50, 1000, 10^6} x k = 1..5;
+for n in {6, 10, 50, 1000} x k = 1..5, and builds ``Probability`` directly
+from NaN, +-0.0, +-inf and values at and past the clamp edges.  The
+series-wide part evaluates ``b_series`` for i = 0..5, ``cdf_kn`` and the
+full ``utp`` at 2,400 points of c in [0.05, 12] for
+n in {1, 2, 3, 6, 7, 10, 50, 1000, 10^6} x k = 1..5;
 on this grid the j sum stops after every number of terms from 0 to 10.
 The gof part runs ``compute_vn`` on one seeded N(0.2, 1.1^2) sample for
 each of 149 capacities (200 points log-spaced over 1..5000, rounded,
@@ -51,7 +53,7 @@ import numpy as np
 from kuiper_hoe.cli import main as cli_main
 from kuiper_hoe.gof import EdfScheme, SampleSet, compute_vn, edf_probs
 from kuiper_hoe.montecarlo import SimConfig, normal_cdf, simulate_type1
-from kuiper_hoe.series import b_series, cdf_kn, utp
+from kuiper_hoe.series import Probability, b_series, cdf_kn, utp
 from kuiper_hoe.solver import (kuiper_inv_cdf, kuiper_ltq, kuiper_pair_solver,
                                kuiper_utq)
 
@@ -61,6 +63,10 @@ CAPACITIES = (*range(1, 11), 12, 15, 20, 30, 50, 100, 10**3, 10**4, 10**6)
 ORDERS = range(1, 6)
 SERIES_C = np.linspace(0.3, 3.5, 400)
 SERIES_CAPACITIES = (6, 10, 50, 1000)
+# Raw values for direct Probability constructions: the clamp edges that the
+# series grids never reach.
+RAW_PROBABILITIES = (math.nan, -0.0, 0.0, 5e-324, 0.5, 1.0,
+                     math.nextafter(1.0, 2.0), 2.0, -1e-300, math.inf, -math.inf)
 WIDE_C = np.linspace(0.05, 12.0, 2400)
 WIDE_CAPACITIES = (1, 2, 3, 6, 7, 10, 50, 1000, 10**6)
 GOF_CAPACITIES = sorted(set(np.rint(np.logspace(0.0, math.log10(5000), 200))
@@ -152,6 +158,9 @@ def series_part() -> tuple[int, str]:
                 for p in (utp(c, n, k, truncated=True), cdf_kn(c, n, k)):
                     digest.update(probability_record(p))
                     values += 1
+    for raw in RAW_PROBABILITIES:
+        digest.update(probability_record(Probability(raw)))
+        values += 1
     return values, digest.hexdigest()
 
 

@@ -172,11 +172,14 @@ def read_sample_file(path: str, csv_column: str | None = None) -> list:
         except IndexError:
             raise ValueError(f"{path}:{lineno}: row has no column {idx}")
         try:
-            values.append(float(cell))
+            value = float(cell)
         except ValueError:
             if start == 0 and lineno == 1:
                 continue  # tolerate a header row above an index-selected column
             raise ValueError(f"{path}:{lineno}: not a number: {cell!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: not a finite number: {cell!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no usable values in column {csv_column!r}")
     return values
@@ -383,6 +386,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.precision < 0:
+            parser.error(f"argument --precision: must be >= 0, got {args.precision}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

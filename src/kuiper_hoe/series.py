@@ -34,8 +34,9 @@ overflowed.  The solver's two-exponential tail form
 is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
 exception: the published critical-value tables were computed with a
 k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
-series value.  ``_expansion`` caches per (n, k) C, the terms j = 1, 2
-(the rest are built and kept the first time ``_evaluate`` reaches them),
+series value.  ``_expansion`` caches per (n, k) C, one slot per term j
+(built on the cache miss for j = 1, 2; a later slot holds None until
+``_evaluate`` first reaches it and keeps the term there),
 the tail record built once from those two, the coefficient pairs of
 (-A_1, -A_2), and that shift, so that ``fun_aj``, the truncated ``utp``
 and the solver reproduce those tables.
@@ -85,19 +86,20 @@ _A2_TABLE_SHIFT = 1920 / 972
 
 _ORDERS = len(_TABLE)
 _J2 = tuple(float(j * j) for j in range(1, J_MAX + 1))
+_UNBUILT = tuple((j2, None) for j2 in _J2[2:])  # the slots of j = 3..J_MAX
 
 
-def _sparse_rows() -> tuple:
-    """[j - 1][d]: the nonzero (i, factor_i * the coefficient of
-    c^(_ORDERS + 1 - d) in P_i(c, j^2)) in index order.  The coefficient is
-    an exact integer (below 2^53), so each entry is rounded once."""
+def _sparse_rows(w: int) -> tuple:
+    """[j - 1][d]: per power c^(w + 1 - d), the nonzero (i, factor_i * the
+    coefficient in P_i(c, j^2)) of the orders i < w in index order.  Each
+    coefficient is an exact integer below 2^53, so it is rounded once."""
     rows = []
     for j in range(1, J_MAX + 1):
-        per_power = [[] for _ in range(_ORDERS + 2)]
-        for i, (_, factor, poly) in enumerate(_TABLE):
-            exact = [0] * (_ORDERS + 2)
+        per_power = [[] for _ in range(w + 2)]
+        for i, (_, factor, poly) in enumerate(_TABLE[:w]):
+            exact = [0] * (w + 2)
             for (p, q), coef in poly.items():
-                exact[_ORDERS + 1 - p] += coef * j ** (2 * q)
+                exact[w + 1 - p] += coef * j ** (2 * q)
             for d, a in enumerate(exact):
                 if a:
                     per_power[d].append((i, a * factor))
@@ -105,7 +107,8 @@ def _sparse_rows() -> tuple:
     return tuple(rows)
 
 
-_ROWS = _sparse_rows()
+# One table per number of weighted orders w, the orders 0..w-1.
+_ROWS = {w: _sparse_rows(w) for w in range(1, _ORDERS + 1)}
 
 # The largest sum_p |coefficient of c^p| of one (i, j) term, times the
 # number of orders and of terms: with weights <= 1 this bounds the
@@ -113,39 +116,38 @@ _ROWS = _sparse_rows()
 # first of their exponentials (see _evaluate).
 _TAIL_BOUND = J_MAX * _ORDERS * max(
     math.fsum(abs(a) for entries in row for i, a in entries if i == order)
-    for row in _ROWS for order in range(_ORDERS))
+    for row in _ROWS[_ORDERS] for order in range(_ORDERS))
 
 
-def _row(weights: list[float], j: int) -> tuple[float, tuple]:
-    """Term j + 1 of sum_i weights[i] B_i(c): ((j + 1)^2, the coefficients
-    of its polynomial in c from the highest power down), each added over i
+def _row(weights: list[float], j: int) -> tuple:
+    """The coefficients of the polynomial in c of term j + 1 of
+    sum_i weights[i] B_i(c), from the highest power down, each added over i
     in index order from 0.0, one rounding per step."""
-    w = len(weights)  # order i has degree i + 2 in c: keep w + 2 powers
     coeffs = []
-    for entries in _ROWS[j][_ORDERS - w:]:
+    for entries in _ROWS[len(weights)][j]:
         acc = 0.0
         for i, a in entries:
-            if i >= w:
-                break
             acc += weights[i] * a
         coeffs.append(acc)
-    return _J2[j], tuple(coeffs)
+    return tuple(coeffs)
 
 
 class _Rows(list):
-    """The (j^2, coefficients) terms of one weighted expansion built so far,
-    and its weights, from which ``_evaluate`` builds the rest on first use."""
+    """One weighted expansion's J_MAX (j^2, coefficients) term slots and its
+    weights; a term's coefficients are None until ``_evaluate`` first
+    reaches it and keeps the term it builds there."""
 
     __slots__ = ("weights",)
 
 
 def _combine(weights: list[float]) -> tuple[float, _Rows]:
     """sum_i weights[i] B_i(c) as its constant C, added over i in index
-    order, and its terms j = 1, 2 (see _row)."""
+    order, and its term slots (see _Rows) with j = 1, 2 built (see _row)."""
     const = 0.0
     for weight, row in zip(weights, _TABLE):
         const += weight * row[0]
-    rows = _Rows(_row(weights, j) for j in range(2))
+    rows = _Rows([(_J2[0], _row(weights, 0)), (_J2[1], _row(weights, 1)),
+                  *_UNBUILT])
     rows.weights = weights
     return const, rows
 
@@ -172,10 +174,10 @@ def _check_argument(c: float) -> None:
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _expansion(n: int, k: int) -> tuple[float, _Rows, tuple, float]:
     """The order-k expansion at capacity n, its orders weighted by n^(-i/2),
-    as (C, rows, pairs, shift): the constant, the terms built so far (see
-    _Rows), per power of c from the highest down the coefficients of
-    (-A_1, -A_2), and the shift added to A_2 (-0.0 below k = 4, which
-    leaves every A_2, zeros included).  (n, k) is checked on a cache miss;
+    as (C, rows, pairs, shift): the constant, the term slots (see _Rows),
+    per power of c from the highest down the coefficients of (-A_1, -A_2),
+    and the shift added to A_2 (-0.0 below k = 4, which leaves every A_2,
+    zeros included).  (n, k) is checked on a cache miss;
     typed=True keeps True, 10.0 and np.float64(10.0) out of the entries of
     1 and 10, which they hash alike."""
     _check_capacity(n)
@@ -214,24 +216,14 @@ def _evaluate(expansion: tuple, c: float) -> float:
         e = math.exp(-2.0 * j2 * c2)
         if e == 0.0 or e * scale < abs(total):
             break
+        if coeffs is None:  # the first use of this term: build and keep it
+            j = _J2.index(j2)
+            coeffs = _row(rows.weights, j)
+            rows[j] = j2, coeffs  # a thread there first kept an equal term
         p = 0.0
         for a in coeffs:
             p = p * c + a
         total += p * e
-    else:  # every term built so far was added: build, keep and add the next
-        # Another thread may grow the rows meanwhile: the last j2 added, not
-        # len(rows), says where to go on, and the slice assignment is one
-        # step that appends row j or replaces the equal row put there first.
-        for j in range(math.isqrt(int(j2)), J_MAX):
-            e = math.exp(-2.0 * _J2[j] * c2)
-            if e == 0.0 or e * scale < abs(total):
-                break
-            row = _row(rows.weights, j)
-            rows[j:j + 1] = (row,)
-            p = 0.0
-            for a in row[1]:
-                p = p * c + a
-            total += p * e
     return total
 
 
@@ -303,11 +295,10 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     return _tail_coefficients(_expansion(n, k), c)[j - 1]
 
 
-def _floor_warning(c: float) -> str | None:
-    if c < TRUST_FLOOR:
-        return (f"c={c:.6g} is below the series trust floor "
-                f"{TRUST_FLOOR}; the asymptotic expansion is unreliable there")
-    return None
+def _floor_warning(c: float) -> str:
+    """The advisory for a c below TRUST_FLOOR, which the callers test."""
+    return (f"c={c:.6g} is below the series trust floor "
+            f"{TRUST_FLOOR}; the asymptotic expansion is unreliable there")
 
 
 def cdf_kn(c: float, n: int, k: int) -> Probability:

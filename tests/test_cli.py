@@ -283,7 +283,7 @@ class TestTestCommand:
         code, out, err = run_cli(capsys, "test", "--file", str(path),
                                  "--csv-column", "x", "--dist", "uniform(0,1)")
         assert (code, out) == (2, "")
-        assert "sample values must be finite" in err
+        assert f"{path}:3: not a finite number: 'nan'" in err
 
     @pytest.mark.parametrize("spec", ["normal(inf,1)", "normal(0,inf)",
                                       "uniform(0,nan)", "uniform(-inf,1)"])
@@ -577,3 +577,9 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "pair", "--n", "10")[0] == 2
+
+    def test_negative_precision_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "pair", "--alpha", "0.05", "--n", "10",
+                                 "--k", "5", "--precision", "-3")
+        assert (code, out) == (2, "")
+        assert "argument --precision: must be >= 0, got -3" in err
