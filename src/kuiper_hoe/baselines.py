@@ -101,10 +101,6 @@ def modified_statistic(v_n: float, n: int) -> float:
     return v_n * (sqrt_n + 0.155 + 0.24 / sqrt_n)
 
 
-def _modified_residual(c: float, alpha: float) -> float:
-    return (8.0 * c * c - 2.0) * math.exp(-2.0 * c * c) - alpha
-
-
 # (8c^2 - 2) e^{-2c^2} rises to its maximum 4 e^{-3/2} at c = sqrt(3/4) and
 # falls monotonically beyond it, so each level up to the peak has one root
 # on [sqrt(3/4), inf).
@@ -125,9 +121,12 @@ def modified_quantile(alpha: float) -> float:
     if alpha > MODIFIED_ALPHA_MAX:
         raise ValueError(f"modified_quantile needs alpha <= 4 e^(-3/2) = "
                          f"{MODIFIED_ALPHA_MAX:.6f}, got {alpha}")
-    c0 = get_init_value(_modified_residual, MODIFIED_C_PEAK, 3.0, 0.05, alpha)
-    return _iterate(lambda c: _newton_step(_modified_residual, c, alpha),
-                    c0, 1e-9)[0]
+
+    def residual(c):
+        return (8.0 * c * c - 2.0) * math.exp(-2.0 * c * c) - alpha
+
+    c0 = get_init_value(residual, MODIFIED_C_PEAK, 3.0, 0.05)
+    return _iterate(lambda c: _newton_step(residual, c), c0, 1e-9)[0]
 
 
 # Below this exponent rate 2 n d^2 the tail is 1 to double precision.  By

@@ -85,11 +85,15 @@ def parse_dist_spec(spec: str):
     if spec.startswith("table:"):
         return _load_cdf_table(spec[len("table:"):])
     m = _DIST_RE.match(spec)
+    unparsed = ValueError(f"cannot parse distribution spec {spec!r}; expected "
+                          f"name(p1,p2) or table:PATH")
     if not m:
-        raise ValueError(f"cannot parse distribution spec {spec!r}; expected "
-                         f"name(p1,p2) or table:PATH")
+        raise unparsed
     name = m.group(1).lower()
-    params = [float(p) for p in m.group(2).split(",")] if m.group(2).strip() else []
+    try:
+        params = [float(p) for p in m.group(2).split(",")] if m.group(2).strip() else []
+    except ValueError:  # a parameter that is not a number, or an empty one
+        raise unparsed from None
     if not all(map(math.isfinite, params)):
         raise ValueError(f"distribution parameters must be finite, got {spec!r}")
     if name == "normal":

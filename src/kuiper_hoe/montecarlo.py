@@ -25,6 +25,7 @@ but changes nothing: all blocks run in the calling thread.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,12 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k_set", tuple(self.k_set))
-        object.__setattr__(self, "comparators", tuple(self.comparators))
+        for name in ("k_set", "comparators"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a non-str iterable such as a "
+                                 f"tuple, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if not self.k_set:
             raise ValueError("k_set needs at least one order")
         for k in self.k_set:

@@ -166,9 +166,8 @@ def _check_capacity(n: int) -> None:
         raise ValueError(f"sample capacity n must be an integer >= 1, got {n!r}")
 
 
-def _check_argument(c: float) -> None:
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"statistic argument c must be positive and finite, got {c}")
+def _argument_error(c: float) -> ValueError:
+    return ValueError(f"statistic argument c must be positive and finite, got {c}")
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
@@ -261,7 +260,7 @@ def b_series(i: int, c: float) -> float:
     if not _is_integer(i) or not 0 <= i <= 5:
         raise ValueError(f"coefficient index i must be an integer in 0..5, got {i!r}")
     if not 0.0 < c < math.inf:
-        _check_argument(c)
+        raise _argument_error(c)
     return _evaluate(_SINGLE_ORDERS[i], c)
 
 
@@ -291,7 +290,7 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     if not _is_integer(j) or j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
     if not 0.0 < c < math.inf:
-        _check_argument(c)
+        raise _argument_error(c)
     return _tail_coefficients(_expansion(n, k), c)[j - 1]
 
 
@@ -309,7 +308,7 @@ def cdf_kn(c: float, n: int, k: int) -> Probability:
     order-n^{-1} constant of the expansion itself.
     """
     if not 0.0 < c < math.inf:
-        _check_argument(c)
+        raise _argument_error(c)
     return Probability(_evaluate(_expansion(n, k), c),
                        _floor_warning(c) if c < TRUST_FLOOR else None)
 
@@ -341,7 +340,7 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     full series; useful for cross-checking solver residuals.
     """
     if not 0.0 < c < math.inf:
-        _check_argument(c)
+        raise _argument_error(c)
     if truncated:
         expansion = _expansion(n, k)
         c2 = c * c

@@ -13,7 +13,7 @@ import collections
 import functools
 import math
 
-from .series import _check_argument, _expansion
+from .series import _argument_error, _expansion
 
 __all__ = [
     "KuiperPair",
@@ -116,7 +116,7 @@ def _residual(alpha: float, n: int, k: int):
             if c <= 0.0:
                 raise FixedPointDomainError(
                     f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
-            _check_argument(c)  # a NaN iterate must not come back as a solved pair
+            raise _argument_error(c)  # a NaN iterate must not come back solved
         tail = -h1 + (shift - h2) * math.exp(-6.0 * c * c)  # A1 + A2 exp(-6c^2)
         if tail <= 0.0:
             raise FixedPointDomainError(
@@ -143,10 +143,10 @@ def f_ctm(c: float, alpha: float, n: int, k: int) -> float:
     return _residual(alpha, n, k)(c, contraction=True)
 
 
-def _newton_step(f, c: float, *params) -> float:
-    """One Newton step on f with a forward-difference slope of step H."""
-    f0 = f(c, *params)
-    slope = (f(c + H, *params) - f0) / H
+def _newton_step(f, c: float) -> float:
+    """One Newton step on f(c), with the forward-difference slope of step H."""
+    f0 = f(c)
+    slope = (f(c + H) - f0) / H
     if abs(slope) < 1e-14:
         raise DegenerateDerivativeError(
             f"forward-difference slope {slope:.4g} at c={c:.6g} is too small")
@@ -178,19 +178,19 @@ def _iterate(step, x0: float, epsilon: float) -> tuple[float, int]:
     return x, steps
 
 
-def get_init_value(f, a: float, b: float, h: float, *params) -> float:
-    """Bisection preconditioner: a midpoint within h of a sign change of f.
+def get_init_value(f, a: float, b: float, h: float) -> float:
+    """Bisection preconditioner: a midpoint within h of a sign change of f(c).
 
     f(a) must evaluate; a midpoint where f raises FixedPointDomainError
     counts as past the sign change and moves the upper end down.  Each
     point costs one f call.
     """
-    fa = f(a, *params)
+    fa = f(a)
     delta = abs(a - b)
     x_guess = (a + b) / 2.0
     while delta > h:
         try:
-            fx = f(x_guess, *params)
+            fx = f(x_guess)
             before_root = fx * fa > 0.0
         except FixedPointDomainError:  # past the domain edge, so past the root
             before_root = False

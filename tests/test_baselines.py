@@ -164,6 +164,15 @@ class TestModifiedQuantile:
     def test_matches_large_n_order1_limit(self, alpha, c_ref):
         assert modified_quantile(alpha) == pytest.approx(c_ref, abs=5e-4)
 
+    @pytest.mark.parametrize("alpha,c_hex", [
+        (0.01, "0x1.001e15be2b64ap+1"), (0.05, "0x1.bf4c6d61a684bp+0"),
+        (0.10, "0x1.9e9e536ae0d5ep+0"), (0.43, "0x1.45b1a86ad3866p+0"),
+        (0.89, "0x1.c6a898a1c7701p-1")])
+    def test_bits(self, alpha, c_hex):
+        # the stephens comparator reads these bits; the bounds above would
+        # let a changed bisection or Newton step move them
+        assert modified_quantile(alpha).hex() == c_hex
+
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             modified_quantile(0.0)

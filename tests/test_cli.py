@@ -296,6 +296,10 @@ class TestTestCommand:
     @pytest.mark.parametrize("spec, message", [
         ("foo", "cannot parse distribution spec 'foo'; expected name(p1,p2) "
                 "or table:PATH"),
+        ("normal(a,1)", "cannot parse distribution spec 'normal(a,1)'; expected "
+                        "name(p1,p2) or table:PATH"),
+        ("normal(0,1,)", "cannot parse distribution spec 'normal(0,1,)'; "
+                         "expected name(p1,p2) or table:PATH"),
         ("normal(0)", "normal distribution needs (mu, sigma) with sigma > 0"),
         ("normal(0,-1)", "normal distribution needs (mu, sigma) with sigma > 0"),
         ("uniform(1,0)", "uniform distribution needs (a, b) with a < b"),

@@ -169,12 +169,23 @@ class TestBlockLayout:
         ({"workers": 1.5}, "workers must be an integer >= 1, got 1.5"),
         ({"workers": True}, "workers must be an integer >= 1, got True"),
         ({"scheme": "scheme0"}, "scheme must be an EdfScheme, got 'scheme0'"),
+        # a str was iterated by character ("unknown comparator 'k'") and an
+        # int raised a bare TypeError from tuple()
+        ({"comparators": "ks"}, "comparators must be a non-str iterable such "
+                                "as a tuple, got 'ks'"),
+        ({"comparators": 1}, "comparators must be a non-str iterable such as "
+                             "a tuple, got 1"),
+        ({"k_set": 5}, "k_set must be a non-str iterable such as a tuple, "
+                       "got 5"),
+        ({"k_set": "12"}, "k_set must be a non-str iterable such as a tuple, "
+                          "got '12'"),
     ], ids=["seed-bool", "seed-float", "seed-negative", "workers-nan",
-            "workers-float", "workers-bool", "scheme-str"])
+            "workers-float", "workers-bool", "scheme-str", "comparators-str",
+            "comparators-int", "k_set-int", "k_set-str"])
     def test_seed_workers_and_scheme_checked_at_construction(self, kwargs,
                                                              message):
         with pytest.raises(ValueError) as err:
-            SimConfig(n=10, k_set=(1,), **kwargs)
+            SimConfig(**{"n": 10, "k_set": (1,), **kwargs})
         assert str(err.value) == message
 
     def test_numpy_integer_seed_and_workers_accepted(self):

@@ -67,13 +67,19 @@ class TestFrameworkOnClassics:
         assert err.value.steps == 3  # 1 -> 2 -> 4, then the failing step
 
 
-def _two_calls_per_halving(f, a, b, h, *params):
+def _nlm(alpha, n, k):
+    """f_nlm at (alpha, n, k) as a function of c, as the solver's helpers
+    take it."""
+    return lambda c: f_nlm(c, alpha, n, k)
+
+
+def _two_calls_per_halving(f, a, b, h):
     """The reference midpoint search: f(a) is evaluated again next to every
     midpoint, and every point must evaluate."""
     delta = abs(a - b)
     x_guess = (a + b) / 2.0
     while delta > h:
-        if f(x_guess, *params) * f(a, *params) > 0.0:
+        if f(x_guess) * f(a) > 0.0:
             a = x_guess
         else:
             b = x_guess
@@ -88,7 +94,7 @@ class TestBisectionInit:
         assert abs(got - 2.0) <= 0.05
 
     def test_kuiper_root(self):
-        got = get_init_value(f_nlm, 0.6, 3.0, 0.05, 0.05, 10, 5)
+        got = get_init_value(_nlm(0.05, 10, 5), 0.6, 3.0, 0.05)
         assert abs(got - 1.6630) <= 0.05
 
     def test_result_stays_inside(self):
@@ -101,13 +107,13 @@ class TestBisectionInit:
     def test_one_call_per_point_and_the_old_midpoint(self, alpha, n, k):
         calls = []
 
-        def counted(x, *params):
+        def counted(x):
             calls.append(x)
-            return f_nlm(x, *params)
+            return f_nlm(x, alpha, n, k)
 
-        got = get_init_value(counted, *solver.BRACKET, alpha, n, k)
+        got = get_init_value(counted, *solver.BRACKET)
         new_calls, calls[:] = list(calls), []
-        want = _two_calls_per_halving(counted, *solver.BRACKET, alpha, n, k)
+        want = _two_calls_per_halving(counted, *solver.BRACKET)
         halvings = len(calls) // 2
         assert got.hex() == want.hex()
         assert len(new_calls) == 1 + halvings
@@ -169,13 +175,13 @@ class TestResidualFunctions:
 
     def test_newton_step_halves_residual(self):
         before = abs(f_nlm(1.8, 0.05, 10, 5))
-        c1 = _newton_step(f_nlm, 1.8, 0.05, 10, 5)
+        c1 = _newton_step(_nlm(0.05, 10, 5), 1.8)
         assert abs(f_nlm(c1, 0.05, 10, 5)) <= 0.5 * before
 
     def test_newton_iteration_reaches_table_entry(self):
-        c = 1.8
+        c, f = 1.8, _nlm(0.05, 10, 5)
         for _ in range(50):
-            c = _newton_step(f_nlm, c, 0.05, 10, 5)
+            c = _newton_step(f, c)
         assert c == pytest.approx(1.6630, abs=1e-4)
         assert c / math.sqrt(10) == pytest.approx(0.5259, abs=1e-4)
 
@@ -273,9 +279,9 @@ class TestPairSolver:
     def test_bisection_recovery_from_bad_guess(self):
         # Newton from 1.8 leaves the basin at n=7, k=5; the solver retries
         # from the bisection initializer and counts the updates of both tries
+        f = _nlm(0.00792, 7, 5)
         with pytest.raises(FixedPointDomainError) as err:
-            _iterate(lambda c: _newton_step(f_nlm, c, 0.00792, 7, 5),
-                     solver.C_GUESS, solver.EPSILON)
+            _iterate(lambda c: _newton_step(f, c), solver.C_GUESS, solver.EPSILON)
         pair = kuiper_pair_solver(0.00792, 7, 5)
         assert pair.c == pytest.approx(2.5821568, abs=1e-7)
         assert pair.iterations == 5
@@ -293,9 +299,9 @@ class TestPairSolver:
 
     def test_bisection_init_path(self):
         # the retry's path: Newton from the bisection midpoint
-        x0 = get_init_value(f_nlm, *solver.BRACKET, 0.05, 10, 5)
-        c, _ = _iterate(lambda c: _newton_step(f_nlm, c, 0.05, 10, 5), x0,
-                        solver.EPSILON)
+        f = _nlm(0.05, 10, 5)
+        x0 = get_init_value(f, *solver.BRACKET)
+        c, _ = _iterate(lambda c: _newton_step(f, c), x0, solver.EPSILON)
         assert c == pytest.approx(1.6630, abs=1e-4)
 
     def test_invalid_alpha(self):
@@ -327,9 +333,9 @@ class TestPairSolver:
     def test_nonpositive_iterate_is_a_domain_error(self):
         # a Newton iterate reaches c <= 0 here; the bisection retry runs
         # and also leaves the basin
+        f = _nlm(0.9998, 50, 1)
         with pytest.raises(FixedPointDomainError) as err:
-            _iterate(lambda c: _newton_step(f_nlm, c, 0.9998, 50, 1),
-                     solver.C_GUESS, solver.EPSILON)
+            _iterate(lambda c: _newton_step(f, c), solver.C_GUESS, solver.EPSILON)
         assert err.value.argument == "c"
         with pytest.raises(FixedPointDomainError):
             kuiper_pair_solver(0.9998, 50, 1)
@@ -343,16 +349,17 @@ def _reference_pair(alpha, n, k, method):
     if not 0.0 < alpha < 1.0:
         raise ValueError(alpha)
     solver._alpha_gap(alpha, fun_a0(n, k), n, k)
+    f = _nlm(alpha, n, k)
     if method == "direct":
         def step(c):
             return f_ctm(c, alpha, n, k)
     else:
         def step(c):
-            return _newton_step(f_nlm, c, alpha, n, k)
+            return _newton_step(f, c)
     try:
         c, iterations = _iterate(step, solver.C_GUESS, solver.EPSILON)
     except FixedPointDomainError as exc:
-        x0 = get_init_value(f_nlm, *solver.BRACKET, alpha, n, k)
+        x0 = get_init_value(f, *solver.BRACKET)
         c, steps = _iterate(step, x0, solver.EPSILON)
         iterations = exc.steps + steps
     return c, iterations, f_nlm(c, alpha, n, k)
