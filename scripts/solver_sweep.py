@@ -31,12 +31,13 @@ of its raw and clamped values, ``clamped`` and ``warning``, each
 ``b_series`` value its ``hex()``, each statistic the ``hex()`` of D+, D-
 and V_n, each quantile its ``hex()`` or its exception type and message,
 each position its ``hex()``, and each simulation its rejection counts.
-The cli part runs a fixed list of text-format ``cli.main`` calls (the
+The cli part runs a fixed list of ``cli.main`` calls (in text format the
 README examples, ``table`` at the seven reference levels and at 0.001,
-two simulations, ``test`` on a seeded file, and calls that exit 2 or 3)
-and hashes each one's argv, stdout, stderr and exit code, with its
-temporary directory written as ``<tmp>``.  Two revisions that print the same lines give the same numbers
-on this grid.
+two simulations, ``test`` on a seeded file, and calls that exit 2 or 3;
+in json and csv format ``pair``, ``cdf``, ``table``, ``test`` and a
+simulation with comparators) and hashes each one's argv, stdout, stderr
+and exit code, with its temporary directory written as ``<tmp>``.  Two
+revisions that print the same lines give the same numbers on this grid.
 """
 
 import collections
@@ -80,7 +81,8 @@ QUANTILE_KEYS = ((1, 1), (6, 3), (10, 5), (100, 4), (10**6, 2))
 SIM_CASES = ((1, 0.2, (2, 3, 4, 5)), (2, 0.05, (2, 3, 4, 5)),
              (10, 0.05, tuple(ORDERS)), (180, 0.05, tuple(ORDERS)))
 SIM_SEEDS = (0, 7, 2024)
-# Text-format CLI calls; {tmp} is the directory of the files CLI_FILES names.
+# CLI calls, text format but for the last ten; {tmp} is the directory of the
+# files CLI_FILES names.
 CLI_CALLS = (
     "pair --alpha 0.01 --n 10 --k 1",
     "utq --alpha 0.40 --n 6 --k 3",
@@ -102,6 +104,13 @@ CLI_CALLS = (
     "test --file {tmp}/data.csv --csv-column 2 --dist normal(0,1)",
     "test --file {tmp}/text.csv --csv-column 1 --dist normal(0,1)",
     "test --file {tmp}/header.csv --csv-column 1 --dist normal(0,1)",
+    *(f"{call} --format {fmt}" for fmt in ("json", "csv") for call in (
+        "pair --alpha 0.01 --n 10 --k 1",
+        "cdf --v 0.5080 --n 10 --k 1",
+        "table --alpha 0.05",
+        "test --file {tmp}/data.txt --dist normal(0,1) --alpha 0.05 --k 5",
+        "simulate --n 10 --k 1,5 --nrep 10000 --seed 42 --comparators ks,stephens",
+    )),
 )
 CLI_SAMPLE = np.random.default_rng(0).normal(0.2, 1.1, 200).tolist()
 CLI_FILES = {

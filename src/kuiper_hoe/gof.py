@@ -60,7 +60,7 @@ class EdfScheme(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """A finite real sample with its order statistics; NaN and inf raise.
+    """A finite real sample with its order statistics; NaN, inf and text raise.
 
     ``values`` (in the given order) and ``sorted`` are read-only float64
     arrays.  Instances compare and hash by identity: arrays have no
@@ -72,6 +72,8 @@ class SampleSet:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.values, (str, bytes, bytearray)):
+            raise ValueError(f"sample must be numbers, not text, got {self.values!r}")
         vals = np.fromiter(self.values, float)
         if not vals.size:
             raise ValueError("sample must contain at least one value")
@@ -116,7 +118,10 @@ _POSITIONS = {
 def _positions(n: int, scheme: EdfScheme) -> tuple[np.ndarray, np.ndarray]:
     """The n plotting positions against which D+ and D- are taken; one
     array, twice, where the two share positions."""
-    a_plus, a_minus, b = _POSITIONS[scheme]
+    try:
+        a_plus, a_minus, b = _POSITIONS[scheme]
+    except (KeyError, TypeError):  # TypeError: an unhashable scheme
+        raise ValueError(f"scheme must be an EdfScheme, got {scheme!r}") from None
     upper = np.arange(1.0 - a_plus, n + 1.0 - a_plus) / (n + b)
     if a_minus == a_plus:
         return upper, upper

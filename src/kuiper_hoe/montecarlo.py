@@ -85,7 +85,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name in ("k_set", "comparators"):
             value = getattr(self, name)
-            if isinstance(value, str) or not isinstance(value, Iterable):
+            if (isinstance(value, (str, bytes, bytearray))
+                    or not isinstance(value, Iterable)):
                 raise ValueError(f"{name} must be a non-str iterable such as a "
                                  f"tuple, got {value!r}")
             object.__setattr__(self, name, tuple(value))

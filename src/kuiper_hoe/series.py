@@ -34,12 +34,12 @@ overflowed.  The solver's two-exponential tail form
 is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
 exception: the published critical-value tables were computed with a
 k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
-series value.  ``_expansion`` caches per (n, k) C, one slot per term j
-(built on the cache miss for j = 1, 2; a later slot holds None until
-``_evaluate`` first reaches it and keeps the term there),
-the tail record built once from those two, the coefficient pairs of
-(-A_1, -A_2), and that shift, so that ``fun_aj``, the truncated ``utp``
-and the solver reproduce those tables.
+series value.  ``_expansion`` caches per (n, k) one record: C, one slot
+per term j (built on the cache miss for j = 1, 2; a later slot holds None
+until ``_evaluate`` first reaches it and builds it from the record's
+weights), the weights, the coefficient pairs of (-A_1, -A_2) taken once
+from the j = 1, 2 terms, and that shift, so that ``fun_aj``, the
+truncated ``utp`` and the solver reproduce those tables.
 """
 
 from __future__ import annotations
@@ -132,24 +132,16 @@ def _row(weights: list[float], j: int) -> tuple:
     return tuple(coeffs)
 
 
-class _Rows(list):
-    """One weighted expansion's J_MAX (j^2, coefficients) term slots and its
-    weights; a term's coefficients are None until ``_evaluate`` first
-    reaches it and keeps the term it builds there."""
-
-    __slots__ = ("weights",)
-
-
-def _combine(weights: list[float]) -> tuple[float, _Rows]:
-    """sum_i weights[i] B_i(c) as its constant C, added over i in index
-    order, and its term slots (see _Rows) with j = 1, 2 built (see _row)."""
+def _combine(weights: list[float]) -> tuple[float, list, list[float]]:
+    """sum_i weights[i] B_i(c) as (C, slots, weights): its constant, added
+    over i in index order, its J_MAX (j^2, coefficients) term slots with
+    j = 1, 2 built (see _row) and the rest None until ``_evaluate`` first
+    reaches them, and the weights it builds them from."""
     const = 0.0
     for weight, row in zip(weights, _TABLE):
         const += weight * row[0]
-    rows = _Rows([(_J2[0], _row(weights, 0)), (_J2[1], _row(weights, 1)),
-                  *_UNBUILT])
-    rows.weights = weights
-    return const, rows
+    return const, [(_J2[0], _row(weights, 0)), (_J2[1], _row(weights, 1)),
+                   *_UNBUILT], weights
 
 
 _SINGLE_ORDERS = tuple(_combine([0.0] * i + [1.0]) for i in range(_ORDERS))
@@ -171,12 +163,12 @@ def _argument_error(c: float) -> ValueError:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
-def _expansion(n: int, k: int) -> tuple[float, _Rows, tuple, float]:
+def _expansion(n: int, k: int) -> tuple[float, list, list[float], tuple, float]:
     """The order-k expansion at capacity n, its orders weighted by n^(-i/2),
-    as (C, rows, pairs, shift): the constant, the term slots (see _Rows),
-    per power of c from the highest down the coefficients of (-A_1, -A_2),
-    and the shift added to A_2 (-0.0 below k = 4, which leaves every A_2,
-    zeros included).  (n, k) is checked on a cache miss;
+    as (C, slots, weights, pairs, shift): the record of _combine, per power
+    of c from the highest down the coefficients of (-A_1, -A_2), and the
+    shift added to A_2 (-0.0 below k = 4, which leaves every A_2, zeros
+    included).  (n, k) is checked on a cache miss;
     typed=True keeps True, 10.0 and np.float64(10.0) out of the entries of
     1 and 10, which they hash alike."""
     _check_capacity(n)
@@ -185,9 +177,9 @@ def _expansion(n: int, k: int) -> tuple[float, _Rows, tuple, float]:
     n = float(n)  # a NumPy integer n would overflow in n * n
     root = math.sqrt(n)
     powers = (1.0, root, n, n * root, n * n, n * n * root)
-    const, rows = _combine([1.0 / p for p in powers[:k + 1]])
+    const, slots, weights = _combine([1.0 / p for p in powers[:k + 1]])
     shift = _A2_TABLE_SHIFT / (n * n) if k >= 4 else -0.0
-    return const, rows, tuple(zip(rows[0][1], rows[1][1])), shift
+    return const, slots, weights, tuple(zip(slots[0][1], slots[1][1])), shift
 
 
 def _evaluate(expansion: tuple, c: float) -> float:
@@ -217,7 +209,7 @@ def _evaluate(expansion: tuple, c: float) -> float:
             break
         if coeffs is None:  # the first use of this term: build and keep it
             j = _J2.index(j2)
-            coeffs = _row(rows.weights, j)
+            coeffs = _row(expansion[2], j)
             rows[j] = j2, coeffs  # a thread there first kept an equal term
         p = 0.0
         for a in coeffs:
@@ -272,7 +264,7 @@ def fun_a0(n: int, k: int) -> float:
 
 def _tail_coefficients(expansion: tuple, c: float) -> tuple[float, float]:
     """(A_1(c), A_2(c)) of the tail form, one Horner pass over the pairs."""
-    _, _, pairs, shift = expansion
+    _, _, _, pairs, shift = expansion
     h1 = h2 = 0.0
     for p1, p2 in pairs:
         h1 = h1 * c + p1

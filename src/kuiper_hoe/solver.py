@@ -103,7 +103,7 @@ def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:
 def _residual(alpha: float, n: int, k: int):
     """f_nlm at (alpha, n, k) as a function of c (f_ctm with contraction=True),
     checks and messages kept; the expansion, gap and log(gap) are taken once."""
-    const, _, pairs, shift = _expansion(n, k)
+    const, _, _, pairs, shift = _expansion(n, k)
     log_gap = math.log(_alpha_gap(alpha, -const, n, k))
 
     def f_nlm(c, contraction=False):

@@ -100,6 +100,33 @@ class TestSampleSet:
         with pytest.warns(TiesWarning):
             SampleSet((1.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("text, shown", [
+        ("123", "'123'"), (b"123", "b'123'"),
+        (bytearray(b"123"), "bytearray(b'123')")], ids=["str", "bytes", "bytearray"])
+    def test_text_rejected(self, text, shown):
+        # "123" once gave the sample [1, 2, 3] and b"123" gave [49, 50, 51]
+        with pytest.raises(ValueError) as err:
+            SampleSet(text)
+        assert str(err.value) == f"sample must be numbers, not text, got {shown}"
+
+
+class TestSchemeChecked:
+    """A scheme that is not an EdfScheme once raised a bare KeyError."""
+
+    @pytest.mark.parametrize("scheme, shown", [
+        ("scheme0", "'scheme0'"), (None, "None"), (0, "0"),
+        (["scheme0"], "['scheme0']")], ids=["str", "none", "int", "unhashable"])
+    @pytest.mark.parametrize("call", [
+        lambda scheme: vn_from_probs([0.2, 0.6], scheme),
+        lambda scheme: compute_vn(SampleSet((0.2, 0.6)), identity, scheme),
+        lambda scheme: edf_probs(4, scheme),
+        lambda scheme: kuiper_test(SampleSet((0.2, 0.6)), identity, scheme=scheme)],
+        ids=["vn_from_probs", "compute_vn", "edf_probs", "kuiper_test"])
+    def test_message_names_the_scheme(self, call, scheme, shown):
+        with pytest.raises(ValueError) as err:
+            call(scheme)
+        assert str(err.value) == f"scheme must be an EdfScheme, got {shown}"
+
 
 class TestComputeVn:
     def test_hand_case_mixed_n2(self):

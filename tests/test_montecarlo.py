@@ -179,9 +179,19 @@ class TestBlockLayout:
                        "got 5"),
         ({"k_set": "12"}, "k_set must be a non-str iterable such as a tuple, "
                           "got '12'"),
+        # bytes ran as their byte values: b"\x01" as order 1, and b"ks" raised
+        # "unknown comparator 107"
+        ({"k_set": b"\x01"}, "k_set must be a non-str iterable such as a "
+                             "tuple, got b'\\x01'"),
+        ({"comparators": b"ks"}, "comparators must be a non-str iterable such "
+                                 "as a tuple, got b'ks'"),
+        ({"comparators": bytearray(b"ks")}, "comparators must be a non-str "
+                                            "iterable such as a tuple, got "
+                                            "bytearray(b'ks')"),
     ], ids=["seed-bool", "seed-float", "seed-negative", "workers-nan",
             "workers-float", "workers-bool", "scheme-str", "comparators-str",
-            "comparators-int", "k_set-int", "k_set-str"])
+            "comparators-int", "k_set-int", "k_set-str", "k_set-bytes",
+            "comparators-bytes", "comparators-bytearray"])
     def test_seed_workers_and_scheme_checked_at_construction(self, kwargs,
                                                              message):
         with pytest.raises(ValueError) as err:

@@ -256,7 +256,7 @@ class TestTailRecord:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [1, 6, 10, 10**6, np.int64(2**40)])
     def test_pairs_and_shift(self, n, k):
-        _, rows, pairs, shift = series._expansion(n, k)
+        _, rows, _, pairs, shift = series._expansion(n, k)
         assert pairs == tuple(zip(rows[0][1], rows[1][1]))
         want = series._A2_TABLE_SHIFT / (float(n) * float(n)) if k >= 4 else -0.0
         assert shift.hex() == want.hex()  # -0.0 keeps a zero A_2 as it is
@@ -264,7 +264,7 @@ class TestTailRecord:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_coefficients_equal_one_horner_pass_per_row(self, k):
         for n in (1, 2, 6, 10, 1000):
-            _, rows, _, shift = series._expansion(n, k)
+            _, rows, _, _, shift = series._expansion(n, k)
             for c in np.linspace(0.05, 6.0, 120).tolist():
                 assert fun_aj(1, c, n, k).hex() == (-horner(rows[0][1], c)).hex()
                 assert fun_aj(2, c, n, k).hex() == \
@@ -462,7 +462,7 @@ def full_sum(expansion, c):
     The term slots of a cached expansion are all filled first, through
     _evaluate at c = 0.05, where no term is cut."""
     total, rows = expansion[:2]
-    if isinstance(rows, series._Rows):
+    if isinstance(rows, list):  # a cached expansion, not the reference
         series._evaluate(expansion, 0.05)
     c2 = c * c
     for j2, coeffs in rows:
@@ -565,7 +565,7 @@ def expansion_hex(expansion):
     expansion are all filled first, through _evaluate at c = 0.05, where no
     term is cut."""
     const, rows = expansion[:2]
-    if isinstance(rows, series._Rows):
+    if isinstance(rows, list):  # a cached expansion, not the reference
         series._evaluate(expansion, 0.05)
     assert built(rows) == len(rows) == series.J_MAX
     return [const.hex()] + [" ".join(map(float.hex, (j2, *coeffs)))
@@ -664,6 +664,17 @@ class TestLazyTerms:
         for key, expansion in zip(keys, expansions):
             assert expansion_hex(expansion) == \
                 expansion_hex(reference_expansion(*key)), key
+
+    def test_record_holds_its_weights(self):
+        # the slots are a plain list, and the weights a later term is built
+        # from are a field of the record
+        expansion = series._expansion.__wrapped__(10, 3)
+        _, slots, weights, _, _ = expansion
+        assert type(expansion) is tuple and type(slots) is list
+        root = math.sqrt(10.0)
+        assert weights == [1.0, 1.0 / root, 1.0 / 10.0, 1.0 / (10.0 * root)]
+        for i, (_, slots, weights) in enumerate(series._SINGLE_ORDERS):
+            assert type(slots) is list and weights == [0.0] * i + [1.0]
 
     def test_large_c_builds_no_term_it_cuts(self):
         expansion = series._expansion.__wrapped__(10, 5)
