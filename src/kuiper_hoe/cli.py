@@ -59,11 +59,10 @@ def _pair_text(c: float, v: float, precision: int) -> str:
 
 
 def _parse_int_list(text: str, flag: str) -> list:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
+    if not text.strip():
         raise ValueError(f"{flag} needs at least one value, got {text!r}")
-    try:
-        return [int(s) for s in items]
+    try:  # int() strips spaces; an empty item raises
+        return [int(s) for s in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be a comma list of integers, "
                          f"got {text!r}") from None
@@ -287,7 +286,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(n=args.n, alpha=args.alpha, k_set=tuple(k_list),
                     n_rep=args.nrep, seed=seed,
                     scheme=EdfScheme.from_string(args.scheme),
-                    comparators=comparators, workers=args.workers)
+                    comparators=comparators)
     result = simulate_type1(cfg)
     p = args.precision
     rows, results = [], []
@@ -378,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="scheme0")
     p.add_argument("--comparators", default="",
                    help="comma list from {ks, stephens}")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted (>= 1) but has no effect; blocks run in one thread")
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 

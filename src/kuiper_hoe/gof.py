@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -72,9 +73,7 @@ class SampleSet:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.values, (str, bytes, bytearray)):
-            raise ValueError(f"sample must be numbers, not text, got {self.values!r}")
-        vals = np.fromiter(self.values, float)
+        vals = _floats(self.values)
         if not vals.size:
             raise ValueError("sample must contain at least one value")
         if not np.isfinite(vals).all():
@@ -87,6 +86,22 @@ class SampleSet:
         if (srt[1:] == srt[:-1]).any():
             warnings.warn("sample contains tied values; the test assumes a "
                           "continuous population", TiesWarning, stacklevel=2)
+
+
+def _floats(values) -> np.ndarray:
+    """The values as float64, read as np.fromiter reads them, except that
+    text, or a text element, raises ValueError: np.fromiter reads "1" as 1.0."""
+    text = (str, bytes, bytearray)
+    if not isinstance(values, (list, tuple, *text)):  # read twice on a failure
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    try:
+        if not isinstance(values, text):
+            # struct takes real numbers only, in half np.fromiter's time
+            return np.frombuffer(struct.pack(f"{len(values)}d", *values))
+    except struct.error:
+        if not any(isinstance(v, text) for v in values):
+            return np.fromiter(values, float)  # it raises, or reads None as NaN
+    raise ValueError(f"sample must be numbers, not text, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -150,18 +165,26 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     D- is taken as 0.0 minus the minimum of p - q, which is the maximum of
     q - p (IEEE subtraction gives q - p == -(p - q) exactly), so where D+
     and D- share positions (every scheme but STEPHENS_MIXED) one difference
-    array gives both.  The floor makes a zero of either sign +0.0.
+    array gives both.  The floor makes a zero of either sign +0.0.  An
+    empty row, or a NaN or infinite value in q, raises ValueError.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
+    if not q.shape[-1]:
+        raise ValueError("q must hold at least one CDF value per sample")
     upper, lower = _positions(q.shape[-1], scheme)
     diff = upper - q
     d_plus = np.maximum(diff.max(axis=-1), 0.0)
     if lower is not upper:
         diff = lower - q
     d_minus = np.maximum(0.0 - diff.min(axis=-1), 0.0)
+    v_n = d_plus + d_minus
+    # V_n >= 0, so this test of the m sums fails only where q holds a NaN,
+    # which every max and min passes on, or an inf, which makes D+ or D- inf
+    if not (v_n if q.ndim == 1 else v_n.max(initial=0.0)) < math.inf:
+        raise ValueError("q must be finite, not NaN or inf")
     if q.ndim == 1:
-        d_plus, d_minus = float(d_plus), float(d_minus)
-    return d_plus, d_minus, d_plus + d_minus
+        return float(d_plus), float(d_minus), float(v_n)
+    return d_plus, d_minus, v_n
 
 
 def compute_vn(sample: SampleSet, hypothesized_cdf,

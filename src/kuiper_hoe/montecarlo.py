@@ -16,10 +16,7 @@ forms one difference array.  The comparators need the exact statistic
 block's D+ with the D- of a scheme1 pass, so the block makes two (m, n)
 subtractions in all; under any other scheme it is a STEPHENS_MIXED pass.
 
-A given (seed, n, n_rep) reproduces the same rejection counts on every
-run.  They differ from releases that drew one substream per replication,
-for the same seed.  ``SimConfig.workers`` is still accepted and validated
-but changes nothing: all blocks run in the calling thread.
+A given (seed, n, n_rep) reproduces the same rejection counts on every run.
 """
 
 from __future__ import annotations
@@ -69,9 +66,7 @@ class SimConfig:
     """One Type-I-error experiment: capacity, level, orders, replication
     count, seed, and the plotting-position scheme of the test statistic.
 
-    ``seed`` must be an integer >= 0 and ``scheme`` an ``EdfScheme``.
-    ``workers`` must be an integer >= 1 and has no effect; it is kept so
-    that existing callers still run."""
+    ``seed`` must be an integer >= 0 and ``scheme`` an ``EdfScheme``."""
 
     n: int
     alpha: float = 0.05
@@ -80,7 +75,6 @@ class SimConfig:
     seed: int = 0
     scheme: EdfScheme = EdfScheme.SCHEME0
     comparators: tuple = ()
-    workers: int = 1
 
     def __post_init__(self) -> None:
         for name in ("k_set", "comparators"):
@@ -100,8 +94,6 @@ class SimConfig:
             raise ValueError(f"n_rep must be an integer >= 1, got {self.n_rep!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not _is_integer(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not isinstance(self.scheme, EdfScheme):
             raise ValueError(f"scheme must be an EdfScheme, got {self.scheme!r}")
         for name in self.comparators:

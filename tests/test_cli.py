@@ -201,9 +201,12 @@ class TestTable:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("flag, text", [("--n", "6,abc"), ("--k", "1,2.5")])
+    @pytest.mark.parametrize("flag, text", [
+        ("--n", "6,abc"), ("--k", "1,2.5"), ("--n", "6,,7"), ("--n", "6,"),
+        ("--k", ",1")])
     def test_non_integer_list_names_the_flag(self, capsys, flag, text):
-        # once exited 2 with "invalid literal for int() with base 10: 'abc'"
+        # once exited 2 with "invalid literal for int() with base 10: 'abc'";
+        # an empty item was dropped, so "6,,7" printed rows 6 and 7
         code, out, err = run_cli(capsys, "table", "--alpha", "0.05", flag, text)
         assert (code, out) == (2, "")
         assert err == (f"error: {flag} must be a comma list of integers, "
@@ -465,7 +468,6 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be an integer >= 0, got -1"),
-        ("--workers", "0", "workers must be an integer >= 1, got 0"),
     ])
     def test_seed_and_workers_errors_name_the_field(self, capsys, flag, value,
                                                     message):
@@ -474,6 +476,12 @@ class TestSimulateCommand:
                                  "--nrep", "20", flag, value)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_workers_flag_rejected(self, capsys):
+        # --workers was once accepted and ignored: every block runs in one thread
+        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--workers", "2")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --workers 2\n")
 
     def test_non_integer_k_list_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1,x",

@@ -102,12 +102,38 @@ class TestSampleSet:
 
     @pytest.mark.parametrize("text, shown", [
         ("123", "'123'"), (b"123", "b'123'"),
-        (bytearray(b"123"), "bytearray(b'123')")], ids=["str", "bytes", "bytearray"])
+        (bytearray(b"123"), "bytearray(b'123')"),
+        (["1", "2.5"], "['1', '2.5']"), (np.array(["1", "2.5"]), "['1', '2.5']"),
+        ([b"1", b"2"], "[b'1', b'2']"), ((0.5, "2"), "(0.5, '2')"),
+        (np.array([0.5, b"2"], dtype=object), "[0.5, b'2']"),
+        ((x for x in (0.5, "2")), "[0.5, '2']")],
+        ids=["str", "bytes", "bytearray", "str-elements", "str-array",
+             "bytes-elements", "mixed-tuple", "object-array", "generator"])
     def test_text_rejected(self, text, shown):
-        # "123" once gave the sample [1, 2, 3] and b"123" gave [49, 50, 51]
+        # "123" once gave the sample [1, 2, 3] and b"123" gave [49, 50, 51];
+        # text elements such as "1" or b"1" were read as numbers
         with pytest.raises(ValueError) as err:
             SampleSet(text)
         assert str(err.value) == f"sample must be numbers, not text, got {shown}"
+
+    @pytest.mark.parametrize("values, error, message", [
+        ([0.5, None], ValueError, "must be finite"),
+        ([0.5, 1j], TypeError, "not 'complex'"),
+        ([[0.5]], ValueError, "with a sequence")], ids=["none", "complex", "nested"])
+    def test_non_number_element_read_by_fromiter(self, values, error, message):
+        # an element that is neither a number nor text meets np.fromiter's
+        # reading: None becomes NaN
+        with pytest.raises(error, match=message):
+            SampleSet(values)
+
+    @pytest.mark.parametrize("values", [
+        np.array([3, 1, 2]), np.array([3.0, 1.0, 2.0], dtype=np.float32),
+        [np.int64(3), 1, np.float64(2.0)], np.array([3, 1, 2], dtype=object)],
+        ids=["int-array", "float32-array", "numpy-scalars", "object-array"])
+    def test_numeric_inputs_read_as_floats(self, values):
+        s = SampleSet(values)
+        assert s.values.dtype == np.float64
+        assert s.values.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestSchemeChecked:
@@ -222,6 +248,24 @@ class TestComputeVn:
     def test_one_dimensional_input_gives_floats(self):
         for q in ([0.2, 0.7], np.array([0.2, 0.7])):
             assert all(type(x) is float for x in vn_from_probs(q))
+
+    @pytest.mark.parametrize("q", [
+        [0.1, math.nan, 0.9], [0.1, math.inf], [-math.inf, 0.5], [math.nan],
+        [[0.2, 0.6], [0.1, math.nan]], [[0.2, 0.6], [0.3, math.inf]]],
+        ids=["nan", "inf", "minus-inf", "only-nan", "nan-row", "inf-row"])
+    @pytest.mark.parametrize("scheme", [EdfScheme.SCHEME0, EdfScheme.STEPHENS_MIXED])
+    def test_non_finite_q_rejected(self, q, scheme):
+        # [0.1, nan, 0.9] once gave (nan, nan, nan) and [0.1, inf] (0.4, inf, inf)
+        with pytest.raises(ValueError) as err:
+            vn_from_probs(q, scheme)
+        assert str(err.value) == "q must be finite, not NaN or inf"
+
+    @pytest.mark.parametrize("q", [[], np.zeros((3, 0))], ids=["1-d", "2-d"])
+    def test_empty_q_rejected(self, q):
+        # once numpy's "zero-size array to reduction operation maximum"
+        with pytest.raises(ValueError) as err:
+            vn_from_probs(q)
+        assert str(err.value) == "q must hold at least one CDF value per sample"
 
 
 def hexes(values):

@@ -76,13 +76,6 @@ class TestSimulate:
         assert a.p_type1 == b.p_type1
         assert a.rejections == b.rejections
 
-    def test_worker_count_does_not_change_results(self):
-        base = simulate_type1(SimConfig(n=10, k_set=(1, 5), n_rep=400, seed=9))
-        for workers in (2, 3, 7):
-            cfg = SimConfig(n=10, k_set=(1, 5), n_rep=400, seed=9,
-                            workers=workers)
-            assert simulate_type1(cfg).p_type1 == base.p_type1
-
     def test_seed_changes_results(self):
         a = simulate_type1(SimConfig(n=10, k_set=(1,), n_rep=400, seed=1))
         b = simulate_type1(SimConfig(n=10, k_set=(1,), n_rep=400, seed=2))
@@ -155,19 +148,17 @@ class TestBlockLayout:
             SimConfig(n=10, alpha=alpha)
         assert str(err.value) == f"alpha must be in (0, 1), got {alpha}"
 
-    def test_workers_accepted_but_validated(self):
-        with pytest.raises(ValueError):
-            SimConfig(n=10, workers=0)
+    def test_workers_keyword_rejected(self):
+        # workers was once accepted and ignored: every block runs in one thread
+        with pytest.raises(TypeError, match="workers"):
+            SimConfig(n=10, workers=2)
 
     @pytest.mark.parametrize("kwargs, message", [
-        # these once constructed: seed=True ran as seed 1, workers had no
-        # check but >= 1, and seed=1.5 or a scheme name died in simulate_type1
+        # these once constructed: seed=True ran as seed 1, and seed=1.5 or a
+        # scheme name died in simulate_type1
         ({"seed": True}, "seed must be an integer >= 0, got True"),
         ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
-        ({"workers": math.nan}, "workers must be an integer >= 1, got nan"),
-        ({"workers": 1.5}, "workers must be an integer >= 1, got 1.5"),
-        ({"workers": True}, "workers must be an integer >= 1, got True"),
         ({"scheme": "scheme0"}, "scheme must be an EdfScheme, got 'scheme0'"),
         # a str was iterated by character ("unknown comparator 'k'") and an
         # int raised a bare TypeError from tuple()
@@ -188,19 +179,17 @@ class TestBlockLayout:
         ({"comparators": bytearray(b"ks")}, "comparators must be a non-str "
                                             "iterable such as a tuple, got "
                                             "bytearray(b'ks')"),
-    ], ids=["seed-bool", "seed-float", "seed-negative", "workers-nan",
-            "workers-float", "workers-bool", "scheme-str", "comparators-str",
-            "comparators-int", "k_set-int", "k_set-str", "k_set-bytes",
-            "comparators-bytes", "comparators-bytearray"])
+    ], ids=["seed-bool", "seed-float", "seed-negative", "scheme-str",
+            "comparators-str", "comparators-int", "k_set-int", "k_set-str",
+            "k_set-bytes", "comparators-bytes", "comparators-bytearray"])
     def test_seed_workers_and_scheme_checked_at_construction(self, kwargs,
                                                              message):
         with pytest.raises(ValueError) as err:
             SimConfig(**{"n": 10, "k_set": (1,), **kwargs})
         assert str(err.value) == message
 
-    def test_numpy_integer_seed_and_workers_accepted(self):
-        cfg = SimConfig(n=10, k_set=(1,), n_rep=300, seed=np.int64(5),
-                        workers=np.int32(2))
+    def test_numpy_integer_seed_accepted(self):
+        cfg = SimConfig(n=10, k_set=(1,), n_rep=300, seed=np.int64(5))
         plain = SimConfig(n=10, k_set=(1,), n_rep=300, seed=5)
         assert simulate_type1(cfg).rejections == simulate_type1(plain).rejections
 
