@@ -114,7 +114,7 @@ def _read_numbers(path: str, width: int) -> list:
     file.  Blank and '#' lines are skipped; two columns split at commas or
     whitespace.  Every error names ``path:line``."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -152,7 +152,7 @@ def read_sample_file(path: str, csv_column: str | None = None) -> list:
     """One value per line ('#' comments allowed), or a CSV column."""
     if csv_column is None:
         return [value for value, in _read_numbers(path, 1)]
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty CSV file")

@@ -118,7 +118,8 @@ class TestResult:
 
 
 # Plotting positions (t - a)/(n + b) of the t-th order statistic, as
-# (a for D+, a for D-, b); SCHEME4 is the ISO 5479 position.  a and b are
+# (a for D+, a for D-, b), one row per scheme, which vn_from_probs and
+# edf_probs both read; SCHEME4 is the ISO 5479 position.  a and b are
 # multiples of 1/8, so t - a and n + b are exact.
 _POSITIONS = {
     EdfScheme.SCHEME0: (0.0, 0.0, 0.0),
@@ -165,8 +166,13 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     D- is taken as 0.0 minus the minimum of p - q, which is the maximum of
     q - p (IEEE subtraction gives q - p == -(p - q) exactly), so where D+
     and D- share positions (every scheme but STEPHENS_MIXED) one difference
-    array gives both.  The floor makes a zero of either sign +0.0.  An
-    empty row, or a NaN or infinite value in q, raises ValueError.
+    array gives both, and STEPHENS_MIXED makes two.  The floor makes a zero
+    of either sign +0.0.
+
+    An empty row, a NaN or infinite value in q, or a row whose first value
+    is below 0 or whose last is above 1 raises ValueError.  Only those ends
+    are checked: an unsorted row is the caller's to avoid, as [0.9, 0.1]
+    gives V_n = 1.8.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if not q.shape[-1]:
@@ -182,6 +188,13 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     # which every max and min passes on, or an inf, which makes D+ or D- inf
     if not (v_n if q.ndim == 1 else v_n.max(initial=0.0)) < math.inf:
         raise ValueError("q must be finite, not NaN or inf")
+    # a sorted row lies within its ends; a 1-D q is indexed, not reduced,
+    # which is the cheaper of the two
+    low, high = ((q[0], q[-1]) if q.ndim == 1 else
+                 (q[..., 0].min(initial=0.0), q[..., -1].max(initial=1.0)))
+    if low < 0.0 or high > 1.0:
+        raise ValueError(f"q must be CDF values within [0, 1], got "
+                         f"{float(low if low < 0.0 else high)!r}")
     if q.ndim == 1:
         return float(d_plus), float(d_minus), float(v_n)
     return d_plus, d_minus, v_n

@@ -34,12 +34,8 @@ overflowed.  The solver's two-exponential tail form
 is the j = 1, 2 part of the same sum, A_0 = -C and A_j = -P_j, with one
 exception: the published critical-value tables were computed with a
 k >= 4 constant of A_2 that lies ``_A2_TABLE_SHIFT / n^2`` above the
-series value.  ``_expansion`` caches per (n, k) one record: C, one slot
-per term j (built on the cache miss for j = 1, 2; a later slot holds None
-until ``_evaluate`` first reaches it and builds it from the record's
-weights), the weights, the coefficient pairs of (-A_1, -A_2) taken once
-from the j = 1, 2 terms, and that shift, so that ``fun_aj``, the
-truncated ``utp`` and the solver reproduce those tables.
+series value.  ``fun_aj``, the truncated ``utp`` and the solver add that
+shift (see ``_expansion``), so that they reproduce those tables.
 """
 
 from __future__ import annotations
@@ -166,11 +162,12 @@ def _argument_error(c: float) -> ValueError:
 def _expansion(n: int, k: int) -> tuple[float, list, list[float], tuple, float]:
     """The order-k expansion at capacity n, its orders weighted by n^(-i/2),
     as (C, slots, weights, pairs, shift): the record of _combine, per power
-    of c from the highest down the coefficients of (-A_1, -A_2), and the
-    shift added to A_2 (-0.0 below k = 4, which leaves every A_2, zeros
-    included).  (n, k) is checked on a cache miss;
-    typed=True keeps True, 10.0 and np.float64(10.0) out of the entries of
-    1 and 10, which they hash alike."""
+    of c from the highest down the coefficients of (-A_1, -A_2) from its
+    j = 1, 2 slots, and the shift added to A_2 (-0.0 below k = 4, which
+    leaves every A_2, zeros included).  (n, k) is checked on a cache miss,
+    and a key that raises is not cached, so its message is the same on
+    every call; typed=True keeps True, 10.0 and np.float64(10.0) out of the
+    entries of 1 and 10, which they hash alike."""
     _check_capacity(n)
     if not _is_integer(k) or not 1 <= k <= 5:
         raise ValueError(f"expansion order k must be an integer in 1..5, got {k!r}")

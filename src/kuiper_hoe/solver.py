@@ -102,7 +102,11 @@ def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:
 
 def _residual(alpha: float, n: int, k: int):
     """f_nlm at (alpha, n, k) as a function of c (f_ctm with contraction=True),
-    checks and messages kept; the expansion, gap and log(gap) are taken once."""
+    checks and messages kept; f_nlm and f_ctm are thin wrappers over it.
+
+    The cached tail record, the alpha-gap check and log(gap) are taken once
+    per solve; each call then does only the work that depends on c: one
+    Horner pass over the coefficient pairs, one exp and one log."""
     const, _, _, pairs, shift = _expansion(n, k)
     log_gap = math.log(_alpha_gap(alpha, -const, n, k))
 
@@ -144,7 +148,11 @@ def f_ctm(c: float, alpha: float, n: int, k: int) -> float:
 
 
 def _newton_step(f, c: float) -> float:
-    """One Newton step on f(c), with the forward-difference slope of step H."""
+    """One Newton step on f(c), with the forward-difference slope of step H.
+
+    f is a function of c alone, as for get_init_value; a caller with other
+    parameters binds them in a closure, as baselines.modified_quantile
+    binds alpha."""
     f0 = f(c)
     slope = (f(c + H) - f0) / H
     if abs(slope) < 1e-14:

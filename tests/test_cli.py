@@ -401,6 +401,30 @@ class TestTestCommand:
         assert code == 0
         assert "v_n         0.1000" in out
 
+    @pytest.mark.parametrize("sample, csv_column, cdf_table", [
+        ("utf-8-sig", None, None), ("utf-8-sig", "value", None),
+        ("utf-8", None, "utf-8-sig")],
+        ids=["text-sample", "csv-sample", "cdf-table"])
+    def test_utf8_byte_order_mark_is_skipped(self, capsys, tmp_path, sample,
+                                             csv_column, cdf_table):
+        # a leading BOM once read as '\ufeff0.05' or the header '\ufeffvalue'
+        data_path = tmp_path / "data.txt"
+        header = [csv_column] if csv_column else []
+        data_path.write_text(
+            "\n".join(header + [f"{(t - 0.5) / 10}" for t in range(1, 11)]) + "\n",
+            encoding=sample)
+        dist = "uniform(0,1)"
+        if cdf_table:
+            cdf_path = tmp_path / "cdf.txt"
+            cdf_path.write_text("0.0 0.0\n1.0 1.0\n", encoding=cdf_table)
+            dist = f"table:{cdf_path}"
+        argv = ["test", "--file", str(data_path), "--dist", dist]
+        if csv_column:
+            argv += ["--csv-column", csv_column]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "v_n         0.1000" in out
+
     def test_non_monotone_cdf_table_rejected(self, capsys, tmp_path):
         cdf_path = tmp_path / "cdf.txt"
         cdf_path.write_text("0.0 0.2\n0.5 0.1\n1.0 1.0\n", encoding="utf-8")

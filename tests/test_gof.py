@@ -260,6 +260,17 @@ class TestComputeVn:
             vn_from_probs(q, scheme)
         assert str(err.value) == "q must be finite, not NaN or inf"
 
+    @pytest.mark.parametrize("q, value", [
+        ([-3.0], "-3.0"), ([0.2, 1.5], "1.5"),
+        ([[0.1, 0.5], [-0.25, 0.5], [0.2, 0.9]], "-0.25")],
+        ids=["below-0", "above-1", "one-bad-row"])
+    @pytest.mark.parametrize("scheme", [EdfScheme.SCHEME0, EdfScheme.STEPHENS_MIXED])
+    def test_q_outside_unit_interval_rejected(self, q, value, scheme):
+        # [-3.0] once gave (4.0, 0.0, 4.0)
+        with pytest.raises(ValueError) as err:
+            vn_from_probs(q, scheme)
+        assert str(err.value) == f"q must be CDF values within [0, 1], got {value}"
+
     @pytest.mark.parametrize("q", [[], np.zeros((3, 0))], ids=["1-d", "2-d"])
     def test_empty_q_rejected(self, q):
         # once numpy's "zero-size array to reduction operation maximum"
@@ -279,10 +290,11 @@ class TestKernelBits:
         upper, lower = scheme_positions(n, scheme)
         t = np.arange(1, n + 1).astype(float)
         # rows on the exact grids (zero differences), on this scheme's
-        # positions, just below its D- positions, where D- floors at 0, and
-        # that row from a -0.0 CDF value, where q - p is -0.0 at t = 1
+        # positions, just below its D- positions (but not below 0), where D-
+        # floors at 0, and that row from a -0.0 CDF value, where q - p is
+        # -0.0 at t = 1
         special = np.array([t / n, (t - 1.0) / n, upper, lower,
-                            lower - 0.25 / n,
+                            np.maximum(lower - 0.25 / n, 0.0),
                             np.concatenate([[-0.0], lower[1:] - 0.25 / n])])
         random = np.sort(np.random.default_rng(n).random((200, n)), axis=1)
         q = np.concatenate([special, random])

@@ -1,8 +1,9 @@
-"""The names the package itself exports, and what importing it loads."""
+"""The names the package itself exports, what importing it loads, and the
+README's Python example."""
 
-import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -30,9 +31,31 @@ def test_star_import_gives_the_exported_names():
     assert set(namespace) - {"__builtins__"} == QUICK_START | HARNESS
 
 
+def run_child(code: str, *args: str, stdin: str | None = None) -> str:
+    """stdout of ``python -c code *args``, this package's source first on
+    the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kuiper_hoe.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True).stdout
+
+
+# Prints, as JSON, whether NumPy was loaded before the first access of the
+# submodule sys.argv[1], and whether the access gave its sys.modules entry.
+SUBMODULE_CHILD = """
+import json, sys
+import kuiper_hoe
+before = "numpy" in sys.modules
+module = getattr(kuiper_hoe, sys.argv[1])
+print(json.dumps([before, module is sys.modules["kuiper_hoe." + sys.argv[1]]]))
+"""
+
+
 @pytest.mark.parametrize("name", ["gof", "montecarlo", "baselines"])
 def test_submodules_resolve(name):
-    assert getattr(kuiper_hoe, name) is importlib.import_module(f"kuiper_hoe.{name}")
+    # a fresh process: in this one, earlier imports have set the attribute,
+    # and the package's __getattr__ would never be asked
+    assert json.loads(run_child(SUBMODULE_CHILD, name)) == [False, True]
 
 
 def test_lazy_name_imports_from_its_module():
@@ -76,12 +99,29 @@ def test_scalar_commands_never_import_numpy(tmp_path):
         ["test", "--file", str(sample), "--dist", "uniform(0,1)"],
         ["simulate", "--n", "10", "--k", "1", "--nrep", "50"],
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kuiper_hoe.__file__)))
-    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
-                           env=dict(os.environ, PYTHONPATH=src),
-                           capture_output=True, text=True, check=True)
-    seen = json.loads(child.stdout)
+    seen = json.loads(run_child(CHILD, json.dumps(argvs)))
     assert seen[:len(NUMPY_FREE_COMMANDS) + 1] == \
         [[None, False]] + [[0, False]] * len(NUMPY_FREE_COMMANDS)
     # test and simulate still run, and they are what loads NumPy
     assert seen[len(NUMPY_FREE_COMMANDS) + 1:] == [[0, True], [0, True]]
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+# Runs the code on stdin, then prints the values the README's comments state.
+README_CHILD = """
+import json, sys
+namespace = {}
+exec(sys.stdin.read(), namespace)
+print(json.dumps([namespace["pair"].c, namespace["pair"].v, namespace["v_crit"]]))
+"""
+
+
+def test_readme_python_example_runs():
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    out = run_child(README_CHILD, stdin=blocks[0])
+    c, v, v_crit = json.loads(out.splitlines()[-1])
+    assert (round(c, 4), round(v, 4), round(v_crit, 4)) == (1.6630, 0.5259, 0.5259)
