@@ -11,7 +11,10 @@ neither.  ``workloads``: per workload, a round per seed of ``perfbench/run.py
 ``layers``: a round per seed of LAYER_SCRIPT (series calls and an alpha-0.05
 pair solve on the cdf_curve keys, which the cache holds, and ``fresh_key_us``:
 an alpha-0.05 upper tail quantile and a full ``utp`` on a key never used
-before, gof's series cost per op).
+before, gof's series cost per op), and a calibrate block's layers:
+``vn_block_{10,50,180}_us``, one scheme0 ``vn_from_probs`` call on a seeded
+sorted (1024, n) block, and ``sim_block_us``, one 1024-replication
+``simulate_type1`` at n = 50 with the ks and stephens comparators.
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
 import included.  Per side (``parent``, ``checkout``) a section holds every
 metric's runs, median, quartiles and minimum (for a time, the run least
@@ -43,6 +46,8 @@ LAYER_REPEATS = 7
 LAYER_SCRIPT = """
 import itertools, json, statistics, time
 import numpy as np
+from kuiper_hoe.gof import EdfScheme, vn_from_probs
+from kuiper_hoe.montecarlo import SimConfig, simulate_type1
 from kuiper_hoe.series import cdf_kn, utp
 from kuiper_hoe.solver import kuiper_pair_solver, kuiper_utq
 grid = np.linspace(0.3, 3.5, 200).tolist()
@@ -54,19 +59,33 @@ def fresh_key(c, _, k):
     n = next(fresh)
     kuiper_utq(0.05, n, k)
     utp(c, n, k)
-# pair_us: one solve per grid point, so 200 passes over the keys
-calls = {"cdf_kn_us": cdf_kn,
-         "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True),
-         "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k),
-         "fresh_key_us": fresh_key}
-def seconds_per_call(f):
+def per_key_call(f):
     start = time.perf_counter()
     for n, k in keys:
         for c in grid:
             f(c, n, k)
     return (time.perf_counter() - start) / (len(keys) * len(grid))
-print(json.dumps({name: statistics.median([seconds_per_call(f) for _ in range(
-    %d + 1)][1:]) * 1e6 for name, f in calls.items()}))
+def per_call(f, calls):
+    start = time.perf_counter()
+    for _ in range(calls):
+        f()
+    return (time.perf_counter() - start) / calls
+# pair_us: one solve per grid point, so 200 passes over the keys
+passes = {name: lambda f=f: per_key_call(f) for name, f in {
+    "cdf_kn_us": cdf_kn,
+    "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True),
+    "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k),
+    "fresh_key_us": fresh_key}.items()}
+# a calibrate block's layers: the kernel on one seeded sorted (1024, n)
+# block, and a whole 1024-replication simulation at n = 50
+for n in (10, 50, 180):
+    block = np.sort(np.random.default_rng(n).random((1024, n)), axis=1)
+    passes[f"vn_block_{n}_us"] = lambda q=block: per_call(
+        lambda: vn_from_probs(q, EdfScheme.SCHEME0), 200)
+sim = SimConfig(n=50, n_rep=1024, comparators=("ks", "stephens"))
+passes["sim_block_us"] = lambda: per_call(lambda: simulate_type1(sim), 20)
+print(json.dumps({name: statistics.median([run() for _ in range(
+    %d + 1)][1:]) * 1e6 for name, run in passes.items()}))
 """ % LAYER_REPEATS
 
 CLI_REPEATS = 9

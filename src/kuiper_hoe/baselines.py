@@ -108,6 +108,13 @@ MODIFIED_C_PEAK = math.sqrt(0.75)
 MODIFIED_ALPHA_MAX = 4.0 * math.exp(-1.5)
 
 
+def _check_modified_level(alpha: float) -> None:
+    """Raise ValueError for a level above the peak, which has no quantile."""
+    if alpha > MODIFIED_ALPHA_MAX:
+        raise ValueError(f"modified_quantile needs alpha <= 4 e^(-3/2) = "
+                         f"{MODIFIED_ALPHA_MAX:.6f}, got {alpha}")
+
+
 def modified_quantile(alpha: float) -> float:
     """Capacity-independent quantile c solving (8c^2 - 2) e^{-2c^2} = alpha.
 
@@ -118,9 +125,7 @@ def modified_quantile(alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if alpha > MODIFIED_ALPHA_MAX:
-        raise ValueError(f"modified_quantile needs alpha <= 4 e^(-3/2) = "
-                         f"{MODIFIED_ALPHA_MAX:.6f}, got {alpha}")
+    _check_modified_level(alpha)
 
     def residual(c):
         return (8.0 * c * c - 2.0) * math.exp(-2.0 * c * c) - alpha

@@ -153,6 +153,11 @@ def edf_probs(n: int, scheme: EdfScheme) -> list:
     return _positions(n, scheme)[0].tolist()
 
 
+# The longest row of a 2-D block that vn_from_probs reduces along the
+# block rather than row by row (the measured crossover).
+_SHORT_ROW_MAX = 100
+
+
 def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     """(D+, D-, V_n) from hypothesized CDF values at the order statistics.
 
@@ -169,6 +174,19 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     array gives both, and STEPHENS_MIXED makes two.  The floor makes a zero
     of either sign +0.0.
 
+    A 2-D block whose rows hold at most _SHORT_ROW_MAX = 100 values
+    reduces along the block: it is copied once into C order as (n, m), so
+    that each max and min runs down m contiguous values per position
+    instead of once per short row, whose fixed cost dominates there; the
+    last subtraction overwrites the copy, so the block allocates no more
+    (m, n) arrays than row by row.  On a (1024, n) block under scheme0
+    (NumPy 2.4, a 2-core Xeon) that took 48 us instead of 135 at n = 10,
+    119 instead of 203 at n = 50 and 239 instead of 293 at n = 100, but
+    421 against 401 at n = 128, about even at n = 180, and 1,288 against
+    740 at n = 256.  Longer rows, 1-D input and more dimensions reduce
+    along the last axis.  Each difference is the same subtraction and max
+    and min are exact, so both layouts give the same bits.
+
     An empty row, a NaN or infinite value in q, or a row whose first value
     is below 0 or whose last is above 1 raises ValueError.  Only those ends
     are checked: an unsorted row is the caller's to avoid, as [0.9, 0.1]
@@ -178,11 +196,18 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     if not q.shape[-1]:
         raise ValueError("q must hold at least one CDF value per sample")
     upper, lower = _positions(q.shape[-1], scheme)
-    diff = upper - q
-    d_plus = np.maximum(diff.max(axis=-1), 0.0)
-    if lower is not upper:
-        diff = lower - q
-    d_minus = np.maximum(0.0 - diff.min(axis=-1), 0.0)
+    shared = lower is upper
+    block, axis, spare = q, -1, None
+    if q.ndim == 2 and q.shape[1] <= _SHORT_ROW_MAX:
+        # a copy of our own, so the last subtraction can overwrite it
+        block = spare = q.T.copy()
+        axis = 0
+        upper, lower = upper[:, None], lower[:, None]
+    diff = np.subtract(upper, block, out=spare if shared else None)
+    d_plus = np.maximum(diff.max(axis=axis), 0.0)
+    if not shared:
+        diff = np.subtract(lower, block, out=spare)
+    d_minus = np.maximum(0.0 - diff.min(axis=axis), 0.0)
     v_n = d_plus + d_minus
     # V_n >= 0, so this test of the m sums fails only where q holds a NaN,
     # which every max and min passes on, or an inf, which makes D+ or D- inf

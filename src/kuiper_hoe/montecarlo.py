@@ -9,25 +9,46 @@ spawn_key=(b,)), with m = min(BLOCK_REPS, replications left), and sorts
 each row.  The sorted uniforms serve directly as the hypothesized CDF
 values F(X_(t)): a standard-normal sample mapped back through its own CDF
 is that uniform sample again, so the normal transform is skipped.  One
-row-wise ``vn_from_probs`` pass per block gives every replication's V_n
-under the configured scheme; where D+ and D- share positions, that pass
-forms one difference array.  The comparators need the exact statistic
-(STEPHENS_MIXED: D+ at t/n, D- at (t-1)/n).  Under scheme0 it is the
-block's D+ with the D- of a scheme1 pass, so the block makes two (m, n)
-subtractions in all; under any other scheme it is a STEPHENS_MIXED pass.
+``vn_from_probs`` pass per block gives every replication's V_n under the
+configured scheme; where D+ and D- share positions, that pass forms one
+difference array.  At n <= 100 the pass reduces along the block, over an
+(n, m) copy, and beyond that row by row, where the copy costs more than
+the short rows do (``vn_from_probs`` has the figures).  The comparators
+need the exact statistic (STEPHENS_MIXED: D+ at t/n, D- at (t-1)/n).
+Under scheme0 it is the block's D+ with the D- of a scheme1 pass, so the
+block makes two (m, n) subtractions in all; under any other scheme it is
+a STEPHENS_MIXED pass.
+
+The KS comparator rejects a row when ks_utp_asymptotic(d, n) < alpha, and
+it decides most rows by d alone.  Once per (alpha, n), _ks_window finds a
+window [d_lo, d_hi] around d0 = sqrt(-ln(alpha/2) / (2n)) with the
+computed tail at least alpha + 1e-9 at d_lo (or d_lo at the edge below
+which the tail is exactly 1) and at most alpha - 1e-9 at d_hi.  The true
+tail falls with d and the computed one is within 3e-12 of it, so a row
+with d <= d_lo is kept, a row with d >= d_hi is rejected, and only the
+rows strictly inside get the full alternating sum: at alpha 0.05, 0.65
+of 1024 on average, and none in half the blocks.  The counts are those of
+calling ks_utp_asymptotic on every row.
 
 A given (seed, n, n_rep) reproduces the same rejection counts on every run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import ks_utp_asymptotic, modified_quantile, modified_statistic
+from .baselines import (
+    _KS_FLAT_RATE,
+    _check_modified_level,
+    ks_utp_asymptotic,
+    modified_quantile,
+    modified_statistic,
+)
 from .gof import EdfScheme, vn_from_probs
 from .series import _is_integer, fun_a0
 from .solver import kuiper_utq
@@ -100,6 +121,8 @@ class SimConfig:
             if name not in KNOWN_COMPARATORS:
                 raise ValueError(f"unknown comparator {name!r}; "
                                  f"expected subset of {KNOWN_COMPARATORS}")
+        if "stephens" in self.comparators:
+            _check_modified_level(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -136,6 +159,53 @@ def _method_metadata(cfg: SimConfig) -> dict:
     return meta
 
 
+# A computed KS tail lies within about 3e-12 of the true, falling one: up
+# to 2e-12 from the dropped alternating terms, the rest from rounding.
+_KS_MARGIN = 1e-9
+
+
+@functools.lru_cache(maxsize=128)
+def _ks_window(alpha: float, n: int) -> tuple:
+    """(d_lo, d_hi) such that ks_utp_asymptotic(d, n) >= alpha for every
+    d <= d_lo and < alpha for every d >= d_hi; see the module docstring.
+
+    Each bound steps out from d0 by d0/1024, doubling the step, so the
+    search ends for every alpha in (0, 1) and n >= 1.  d_lo stops at the
+    flat-rate edge, below which the tail is exactly 1 and no row rejects:
+    for alpha above 1 - 1e-9 the tail never reaches alpha + 1e-9.  For
+    alpha at or below 1e-9, d_hi is inf and every row above d_lo gets the
+    full sum.
+    """
+    d0 = math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))
+    # the largest d whose rate 2 n d^2, computed as ks_utp_asymptotic does,
+    # stays below the flat rate; sqrt lands within an ulp or two of it
+    edge = math.sqrt(_KS_FLAT_RATE / (2.0 * n))
+    while 2.0 * n * edge * edge >= _KS_FLAT_RATE:
+        edge = math.nextafter(edge, 0.0)
+    step = d0 / 1024.0
+    while (d0 - step > edge
+           and ks_utp_asymptotic(d0 - step, n) < alpha + _KS_MARGIN):
+        step *= 2.0
+    d_lo = max(d0 - step, edge)
+    if alpha <= _KS_MARGIN:
+        return d_lo, math.inf
+    step = d0 / 1024.0
+    while ks_utp_asymptotic(d0 + step, n) > alpha - _KS_MARGIN:
+        step *= 2.0
+    return d_lo, d0 + step
+
+
+def _ks_rejections(d: np.ndarray, alpha: float, n: int) -> int:
+    """The number of d with ks_utp_asymptotic(d, n) < alpha, summing the
+    tail only for the d inside _ks_window(alpha, n)."""
+    d_lo, d_hi = _ks_window(alpha, n)
+    inside = d[(d > d_lo) & (d < d_hi)]
+    count = np.count_nonzero(d >= d_hi)
+    if inside.size:
+        count += np.count_nonzero(ks_utp_asymptotic(inside, n) < alpha)
+    return int(count)
+
+
 def simulate_type1(cfg: SimConfig) -> SimResult:
     """Estimate Pr{reject | H0 true} for each configured method.
 
@@ -170,8 +240,8 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
                 stat = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
             d_plus, d_minus, v_exact = stat
             if use_ks:
-                p = ks_utp_asymptotic(np.maximum(d_plus, d_minus), cfg.n)
-                rejections["ks"] += int(np.count_nonzero(p < cfg.alpha))
+                rejections["ks"] += _ks_rejections(
+                    np.maximum(d_plus, d_minus), cfg.alpha, cfg.n)
             if use_stephens:
                 rejections["stephens"] += int(
                     np.count_nonzero(v_exact * t_mult > c_mk))

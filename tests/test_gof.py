@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuiper_hoe.gof import (
+    _SHORT_ROW_MAX,
     EdfScheme,
     SampleSet,
     TiesWarning,
@@ -271,7 +272,9 @@ class TestComputeVn:
             vn_from_probs(q, scheme)
         assert str(err.value) == f"q must be CDF values within [0, 1], got {value}"
 
-    @pytest.mark.parametrize("q", [[], np.zeros((3, 0))], ids=["1-d", "2-d"])
+    @pytest.mark.parametrize("q", [[], np.zeros((3, 0)), np.zeros((1024, 0)),
+                                   np.zeros((0, 0)), np.zeros((2, 3, 0))],
+                             ids=["1-d", "2-d", "block", "no-rows", "3-d"])
     def test_empty_q_rejected(self, q):
         # once numpy's "zero-size array to reduction operation maximum"
         with pytest.raises(ValueError) as err:
@@ -317,6 +320,76 @@ class TestKernelBits:
         assert hexes(d_plus) == hexes(plus0)
         assert hexes(d_minus) == hexes(minus1)
         assert hexes(v_n) == hexes(plus0 + minus1)
+
+
+def int64_views(stats):
+    """The bits of each of (D+, D-, V_n), as int64 lists."""
+    return [np.asarray(x, dtype=float).view(np.int64).tolist() for x in stats]
+
+
+def sorted_block(m, n, seed):
+    """m sorted uniform rows of n, the first three on the grids t/n and
+    (t-1)/n (zero differences) and one starting at -0.0."""
+    q = np.sort(np.random.default_rng(seed).random((m, n)), axis=1)
+    t = np.arange(1.0, n + 1.0)
+    for row, values in zip(q, [t / n, (t - 1.0) / n,
+                               np.concatenate([[-0.0], t[1:] / n])]):
+        row[:] = values
+    return q
+
+
+# rows up to _SHORT_ROW_MAX reduce along the block, longer ones row by row
+LAYOUT_NS = [1, 2, 10, _SHORT_ROW_MAX, _SHORT_ROW_MAX + 1, 180]
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("scheme", list(EdfScheme))
+    @pytest.mark.parametrize("n", LAYOUT_NS)
+    @pytest.mark.parametrize("m", [1, 1024])
+    def test_matches_inline_formula_bit_for_bit(self, scheme, n, m):
+        q = sorted_block(m, n, seed=7 * n + m)
+        got = vn_from_probs(q, scheme)
+        assert all(x.shape == (m,) for x in got)
+        assert int64_views(got) == int64_views(inline_vn(q, scheme))
+
+    @pytest.mark.parametrize("scheme", list(EdfScheme))
+    @pytest.mark.parametrize("n", LAYOUT_NS)
+    def test_memory_order_does_not_matter(self, scheme, n):
+        wide = sorted_block(600, n + 2, seed=n)
+        wide[:, 1:-1] = sorted_block(600, n, seed=n + 1)
+        views = {"fortran": np.asfortranarray(wide[:, 1:-1]),
+                 "row-slice": wide[::3, 1:-1], "columns": wide[:, 1:-1]}
+        for name, q in views.items():
+            before = q.copy()
+            want = inline_vn(before, scheme)
+            assert int64_views(vn_from_probs(q, scheme)) == int64_views(want), name
+            assert (q == before).all(), name  # the kernel writes to its copy
+
+    @pytest.mark.parametrize("scheme", list(EdfScheme))
+    @pytest.mark.parametrize("n", [1, 10, 180])
+    def test_three_dimensional_input_reduces_its_last_axis(self, scheme, n):
+        q = sorted_block(3 * 128, n, seed=n).reshape(3, 128, n)
+        got = vn_from_probs(q, scheme)
+        assert all(x.shape == (3, 128) for x in got)
+        assert int64_views(got) == int64_views(inline_vn(q, scheme))
+        for block, *stats in zip(q, *got):
+            assert int64_views(vn_from_probs(block, scheme)) == int64_views(stats)
+
+    @pytest.mark.parametrize("n", [10, _SHORT_ROW_MAX, _SHORT_ROW_MAX + 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("value, at, message", [
+        (math.nan, (500, 3), "q must be finite, not NaN or inf"),
+        (math.inf, (1023, -1), "q must be finite, not NaN or inf"),
+        (-math.inf, (0, 0), "q must be finite, not NaN or inf"),
+        (-0.25, (700, 0), "q must be CDF values within [0, 1], got -0.25"),
+        (1.5, (12, -1), "q must be CDF values within [0, 1], got 1.5"),
+    ], ids=["nan", "inf", "minus-inf", "below-0", "above-1"])
+    def test_errors_hold_in_both_layouts(self, n, order, value, at, message):
+        q = np.sort(np.random.default_rng(n).random((1024, n)), axis=1)
+        q[at] = value
+        with pytest.raises(ValueError) as err:
+            vn_from_probs(np.asarray(q, order=order))
+        assert str(err.value) == message
 
 
 def per_point_vn(values, cdf, scheme=EdfScheme.STEPHENS_MIXED):

@@ -6,11 +6,17 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from kuiper_hoe.baselines import ks_utp_asymptotic, modified_quantile
+from kuiper_hoe.baselines import (
+    MODIFIED_ALPHA_MAX,
+    ks_utp_asymptotic,
+    modified_quantile,
+)
 from kuiper_hoe.gof import EdfScheme
 from kuiper_hoe.montecarlo import (
     BLOCK_REPS,
     SimConfig,
+    _ks_rejections,
+    _ks_window,
     normal_cdf,
     simulate_type1,
 )
@@ -212,10 +218,51 @@ class TestBlockLayout:
         with pytest.raises(ValueError, match=message):
             SimConfig(**kwargs)
 
+    def test_stephens_level_above_its_peak_rejected_at_construction(self):
+        # alpha 0.95 once constructed, and simulate_type1 solved five
+        # quantiles before modified_quantile raised
+        with pytest.raises(ValueError) as want:
+            modified_quantile(0.95)
+        with pytest.raises(ValueError) as err:
+            SimConfig(n=10, alpha=0.95, comparators=("stephens",))
+        assert str(err.value) == str(want.value)
+        SimConfig(n=10, alpha=MODIFIED_ALPHA_MAX, comparators=("stephens",))
+        SimConfig(n=10, alpha=0.95, comparators=("ks",))
+
     def test_numpy_integer_n_rep_accepted(self):
         cfg = SimConfig(n=10, k_set=(1,), n_rep=np.int64(300), seed=5)
         plain = SimConfig(n=10, k_set=(1,), n_rep=300, seed=5)
         assert simulate_type1(cfg).rejections == simulate_type1(plain).rejections
+
+
+class TestKsWindow:
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-4, 0.05, 0.5, 1 - 1e-12])
+    @pytest.mark.parametrize("n", [1, 2, 10, 180, 400])
+    def test_counts_match_a_tail_per_row(self, alpha, n):
+        d_lo, d_hi = _ks_window(alpha, n)
+        planted = [d for edge in (d_lo, d_hi) if edge < math.inf
+                   for d in (np.nextafter(edge, 0.0), edge,
+                             np.nextafter(edge, math.inf))]
+        top = 1.5 * (d_hi if d_hi < math.inf else d_lo)
+        d = np.concatenate([planted, np.linspace(0.0, top, 401),
+                            np.linspace(d_lo, min(d_hi, top), 101)])
+        rejects = [float(ks_utp_asymptotic(x, n)) < alpha for x in d.tolist()]
+        assert _ks_rejections(d, alpha, n) == sum(rejects)
+        for x, reject in zip(planted, rejects):
+            assert _ks_rejections(np.array([x]), alpha, n) == reject
+        assert not rejects[1]  # d_lo itself
+        if d_hi < math.inf:
+            assert rejects[4]  # d_hi itself
+
+    def test_lower_bound_stops_at_the_flat_edge_near_alpha_1(self):
+        # the tail never reaches alpha + 1e-9 there, and is exactly 1 below
+        # the edge, where the rate 2 n d^2 is under the flat rate 0.05
+        for n in (1, 10, 400):
+            d_lo = _ks_window(1 - 1e-12, n)[0]
+            assert 2.0 * n * d_lo * d_lo < 0.05
+            assert ks_utp_asymptotic(d_lo, n) == 1.0
+            up = np.nextafter(d_lo, math.inf)
+            assert 2.0 * n * up * up >= 0.05
 
 
 class TestSerialization:
