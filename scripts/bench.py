@@ -14,7 +14,9 @@ an alpha-0.05 upper tail quantile and a full ``utp`` on a key never used
 before, gof's series cost per op), and a calibrate block's layers:
 ``vn_block_{10,50,180}_us``, one scheme0 ``vn_from_probs`` call on a seeded
 sorted (1024, n) block, and ``sim_block_us``, one 1024-replication
-``simulate_type1`` at n = 50 with the ks and stephens comparators.
+``simulate_type1`` at n = 50 with the ks and stephens comparators; and
+``table_{table,csv,json}_us``, one in-process ``cli.main(["table", "--alpha",
+"0.05", "--format", f])`` with stdout sent to a StringIO.
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
 import included.  Per side (``parent``, ``checkout``) a section holds every
 metric's runs, median, quartiles and minimum (for a time, the run least
@@ -44,8 +46,9 @@ MEASURED_PATHS = ("src", "perfbench", "tests/table_data.py", "BENCHMARK.json")
 
 LAYER_REPEATS = 7
 LAYER_SCRIPT = """
-import itertools, json, statistics, time
+import contextlib, io, itertools, json, statistics, time
 import numpy as np
+from kuiper_hoe import cli
 from kuiper_hoe.gof import EdfScheme, vn_from_probs
 from kuiper_hoe.montecarlo import SimConfig, simulate_type1
 from kuiper_hoe.series import cdf_kn, utp
@@ -84,6 +87,13 @@ for n in (10, 50, 180):
         lambda: vn_from_probs(q, EdfScheme.SCHEME0), 200)
 sim = SimConfig(n=50, n_rep=1024, comparators=("ks", "stephens"))
 passes["sim_block_us"] = lambda: per_call(lambda: simulate_type1(sim), 20)
+# one in-process table command per format, its stdout sent to a StringIO
+def table_us(fmt):
+    argv = ["table", "--alpha", "0.05", "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return per_call(lambda: cli.main(argv), 50)
+for fmt in ("table", "csv", "json"):
+    passes[f"table_{fmt}_us"] = lambda fmt=fmt: table_us(fmt)
 print(json.dumps({name: statistics.median([run() for _ in range(
     %d + 1)][1:]) * 1e6 for name, run in passes.items()}))
 """ % LAYER_REPEATS

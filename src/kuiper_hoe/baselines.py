@@ -145,10 +145,10 @@ _KS_FLAT_RATE = 0.05
 def ks_utp_asymptotic(d, n: int):
     """Asymptotic two-sided Kolmogorov tail 2 sum_j (-1)^{j-1} e^{-2 j^2 n d^2}.
 
-    Terms below 1e-12 are dropped; an exponent rate below _KS_FLAT_RATE
-    returns the limit value 1.  A float d gives a Probability of the
-    unclamped sum; an ndarray of d gives the clamped tails as an array,
-    each summed with the same terms.
+    Terms after the first are dropped below 1e-12; an exponent rate below
+    _KS_FLAT_RATE returns the limit value 1.  A float d gives a Probability
+    of the unclamped sum; an ndarray of d gives the clamped tails as an
+    array, each summed with the same terms.
     """
     arr = np.asarray(d, dtype=float)
     bad = ~((arr >= 0.0) & (arr < math.inf))  # NaN fails both comparisons
@@ -163,7 +163,7 @@ def ks_utp_asymptotic(d, n: int):
     j = 1
     while True:
         term = np.exp(-j * j * rate)
-        live &= term >= 1e-12  # terms fall with j, so a dropped row stays out
+        live &= (j == 1) | (term >= 1e-12)  # terms fall, so dropped stays out
         if not live.any():
             break
         total += np.where(live, sign * term, 0.0)

@@ -33,15 +33,14 @@ def _emit(args, rows: list, payload=None, text: str | None = None) -> None:
     """Print a command's records in the format ``args.format`` names.
 
     ``rows`` are dicts sharing one key order.  csv: the keys as header, one
-    line per row, floats by repr and None as an empty cell.  json:
-    ``payload``, or else the single row.  table: ``text``, or else the
-    single row as aligned ``key  value`` lines rounded to --precision.
+    line per row, floats by the csv module's repr, None as an empty cell.
+    json: ``payload``, or else the single row.  table: ``text``, or else
+    the single row as aligned ``key  value`` lines rounded to --precision.
     """
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(rows[0])
-        writer.writerows([repr(v) if isinstance(v, float) else v
-                          for v in row.values()] for row in rows)
+        writer.writerows(map(dict.values, rows))
     elif args.format == "json":
         print(json.dumps(rows[0] if payload is None else payload, indent=2))
     elif text is not None:
@@ -243,29 +242,31 @@ def cmd_test(args) -> int:
     return EXIT_REJECT if result.reject else EXIT_OK
 
 
+def _table_cell(args, n: int, k: int) -> tuple:
+    try:
+        return kuiper_pair_solver(args.alpha, n, k, args.method)[:2]
+    except (FixedPointDomainError, ConvergenceError):
+        return None, None  # order k has no pair here: printed as x or empty
+
+
 def cmd_table(args) -> int:
     n_list = _parse_int_list(args.n, "--n")
     k_list = _parse_int_list(args.k, "--k")
-    width = 2 * args.precision + 10
-    lines = [f"alpha = {args.alpha}",
-             f"{'n':>9}" + "".join(f"{'k=' + str(k):>{width}}" for k in k_list)]
-    cells = []
-    for n in n_list:
-        line = f"{n:>9}"
-        for k in k_list:
-            try:
-                pair = kuiper_pair_solver(args.alpha, n, k, args.method)
-            except (FixedPointDomainError, ConvergenceError):
-                c = v = None
-                shown = "x"
-            else:
-                c, v = pair.c, pair.v
-                shown = _pair_text(c, v, args.precision)
-            cells.append({"n": n, "k": k, "c": c, "v": v})
-            line += f"{shown:>{width}}"
-        lines.append(line)
-    _emit(args, [{"alpha": args.alpha, **cell} for cell in cells],
-          payload={"alpha": args.alpha, "cells": cells}, text="\n".join(lines))
+    grid = [[_table_cell(args, n, k) for k in k_list] for n in n_list]
+    cells = ({"n": n, "k": k, "c": c, "v": v} for n, row in zip(n_list, grid)
+             for k, (c, v) in zip(k_list, row))
+    if args.format == "csv":
+        _emit(args, [{"alpha": args.alpha, **cell} for cell in cells])
+    elif args.format == "json":
+        _emit(args, [], payload={"alpha": args.alpha, "cells": list(cells)})
+    else:
+        width = 2 * args.precision + 10
+        lines = [f"alpha = {args.alpha}", f"{'n':>9}" + "".join(
+            f"{'k=' + str(k):>{width}}" for k in k_list)]
+        lines += [f"{n:>9}" + "".join(
+            f"{'x' if c is None else _pair_text(c, v, args.precision):>{width}}"
+            for c, v in row) for n, row in zip(n_list, grid)]
+        _emit(args, [], text="\n".join(lines))
     return EXIT_OK
 
 

@@ -235,8 +235,7 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
         c, steps = _iterate(step, x0, EPSILON)
         iterations = exc.steps + steps
 
-    return KuiperPair(c=c, v=c / math.sqrt(n), alpha=alpha, n=n, k=k,
-                      iterations=iterations, residual=f(c))
+    return KuiperPair(c, c / math.sqrt(n), alpha, n, k, iterations, f(c))
 
 
 def kuiper_utq(alpha: float, n: int, k: int) -> float:

@@ -253,6 +253,15 @@ class TestKsTail:
             assert ks_utp_asymptotic(np.array([d]), n)[0] == pytest.approx(
                 want, abs=1e-11)
 
+    def test_first_term_kept_below_the_cutoff(self):
+        # once exactly 0.0 wherever e^(-2nd^2) fell below 1e-12
+        assert 0.0 < float(ks_utp_asymptotic(0.6, 50)) < 1e-12
+        want = 2.0 * math.exp(-2.0 * 50 * 0.5322 ** 2)
+        assert float(ks_utp_asymptotic(0.5322, 50)) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+        assert ks_utp_asymptotic(np.array([0.5322]), 50)[0] == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+
     def test_one_below_the_flat_rate(self):
         d = np.sqrt(np.linspace(0.0, 0.0499, 50) / 2.0)
         assert all(float(ks_utp_asymptotic(float(x), 1)) == 1.0 for x in d)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from kuiper_hoe.cli import main, parse_dist_spec
+from kuiper_hoe.cli import _emit, main, parse_dist_spec
 from kuiper_hoe.montecarlo import SimConfig, simulate_type1
 from kuiper_hoe.series import cdf_kn, utp
 
@@ -239,6 +240,42 @@ class TestTable:
             reached, unreached = json.loads(out)["cells"]
             assert reached["c"] == pytest.approx(2.1087, abs=1e-4)
             assert unreached == {"n": 10, "k": 2, "c": None, "v": None}
+
+    @pytest.mark.parametrize("extra, precision", [
+        ((), 10), (("--precision", "0"), 0), (("--method", "direct"), 10)],
+        ids=["newton", "precision-0", "direct"])
+    def test_three_formats_render_one_set_of_cells(self, capsys, extra,
+                                                   precision):
+        argv = ("table", "--alpha", "0.001", "--n", "6,50,1000000",
+                "--k", "1,2,5", *extra)
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["alpha", "n", "k", "c", "v"]
+        payload = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        assert payload["alpha"] == 0.001
+        keys = [(n, k) for n in (6, 50, 1000000) for k in (1, 2, 5)]
+        assert [(cell["n"], cell["k"]) for cell in payload["cells"]] == keys
+        for row, cell in zip(rows, payload["cells"], strict=True):
+            # an empty csv cell is None in json; a float has one repr in both
+            assert row == ["0.001", str(cell["n"]), str(cell["k"]),
+                           *("" if cell[x] is None else repr(cell[x])
+                             for x in "cv")]
+        _, out, _ = run_cli(capsys, *argv, "--format", "table",
+                            "--precision", str(precision))
+        width = 2 * precision + 10
+        lines = out.splitlines()
+        assert lines[0] == "alpha = 0.001"
+        assert lines[1].split() == ["n", "k=1", "k=2", "k=5"]
+        shown = {(int(line[:9]), k): line[9 + i * width:9 + (i + 1) * width]
+                 for line in lines[2:] for i, k in enumerate((1, 2, 5))}
+        assert list(shown) == keys
+        for cell in payload["cells"]:
+            c, v = cell["c"], cell["v"]
+            text = ("x" if c is None
+                    else f"({c:.{precision}f}, {v:.{precision}f})")
+            assert shown[cell["n"], cell["k"]] == f"{text:>{width}}"
+        assert shown[6, 2].strip() == "x"  # order 2 cannot reach 0.001 at n = 6
+        assert shown[1000000, 2].strip() != "x"
 
     def test_default_grid_shape(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--alpha", "0.05",
@@ -588,6 +625,12 @@ class TestSimulateCommand:
             "SeedSequence(seed, spawn_key=(block,)), "
             "1024 replications per block")
         assert payload["metadata"] == r.metadata
+
+
+def test_emit_csv_writes_floats_by_repr_and_none_as_an_empty_cell(capsys):
+    _emit(argparse.Namespace(format="csv", precision=4),
+          [{"a": 0.1 + 0.2, "b": None, "c": 3, "d": "x,y"}])
+    assert capsys.readouterr().out == 'a,b,c,d\n0.30000000000000004,,3,"x,y"\n'
 
 
 # The CSV headers the README lists as fixed contracts.

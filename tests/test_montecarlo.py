@@ -254,6 +254,12 @@ class TestKsWindow:
         if d_hi < math.inf:
             assert rejects[4]  # d_hi itself
 
+    def test_tail_just_above_a_tiny_alpha_is_kept(self):
+        # 2 e^(-2nd^2) is 1.01e-12 at d = 0.532, n = 50; the tail once read
+        # 0.0 there, and the row was rejected at alpha 1e-12
+        assert float(ks_utp_asymptotic(0.532, 50)) > 1e-12
+        assert _ks_rejections(np.array([0.532, 0.54]), 1e-12, 50) == 1
+
     def test_lower_bound_stops_at_the_flat_edge_near_alpha_1(self):
         # the tail never reaches alpha + 1e-9 there, and is exactly 1 below
         # the edge, where the rate 2 n d^2 is under the flat rate 0.05
