@@ -22,8 +22,10 @@ import included.  Per side (``parent``, ``checkout``) a section holds every
 metric's runs, median, quartiles and minimum (for a time, the run least
 disturbed by other load); under ``change`` the ratios of the medians and of
 the minima, the rounds the checkout won (directions from BENCHMARK.json,
-lower for times) and whether the medians differ by more than the parent's
-interquartile range.  A workload side also lists its failed and attempted ops.
+lower for times), whether the medians differ by more than the parent's
+interquartile range, and a ``verdict``: "better" or "worse" when at least
+9 in 10 pairs and the median gap beyond that range agree, else
+"unresolved".  A workload side also lists its failed and attempted ops.
 """
 
 import argparse
@@ -143,16 +145,28 @@ def summary(values: list) -> dict:
 
 
 def compare(parent: dict, checkout: dict, direction: str) -> dict:
-    """How the checkout's summary of one metric stands to the parent's."""
+    """How the checkout's summary of one metric stands to the parent's.
+
+    ``verdict`` is "better" when at least 9 in 10 pairs are better and the
+    median moved the better way by more than the parent's interquartile
+    range, "worse" on the mirror condition (a tied pair counts for neither
+    side), and "unresolved" otherwise."""
     old, new = parent["runs"], checkout["runs"]
-    wins = sum((b < a) if direction == "lower" else (b > a)
-               for a, b in zip(old, new))
+    sign = -1.0 if direction == "lower" else 1.0
+    wins = sum(sign * (b - a) > 0.0 for a, b in zip(old, new))
+    losses = sum(sign * (b - a) < 0.0 for a, b in zip(old, new))
+    gap = sign * (checkout["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    verdict = "unresolved"
+    if 10 * wins >= 9 * len(old) and gap > iqr:
+        verdict = "better"
+    elif 10 * losses >= 9 * len(old) and -gap > iqr:
+        verdict = "worse"
     return {"median_ratio": checkout["median"] / parent["median"],
             "min_ratio": checkout["min"] / parent["min"],
             "pairs_better": wins, "pairs": len(old),
-            "median_gap_exceeds_parent_iqr":
-                abs(checkout["median"] - parent["median"])
-                > parent["q3"] - parent["q1"]}
+            "median_gap_exceeds_parent_iqr": abs(gap) > iqr,
+            "verdict": verdict}
 
 
 def report(runs: dict, directions: dict) -> dict:

@@ -19,23 +19,11 @@ Under scheme0 it is the block's D+ with the D- of a scheme1 pass, so the
 block makes two (m, n) subtractions in all; under any other scheme it is
 a STEPHENS_MIXED pass.
 
-The KS comparator rejects a row when ks_utp_asymptotic(d, n) < alpha, and
-it decides most rows by d alone.  Once per (alpha, n), _ks_window finds a
-window [d_lo, d_hi] around d0 = sqrt(-ln(alpha/2) / (2n)) with the
-computed tail at least alpha + 1e-9 at d_lo (or d_lo at the edge below
-which the tail is exactly 1) and at most alpha - 1e-9 at d_hi.  The true
-tail falls with d and the computed one is within 3e-12 of it, so a row
-with d <= d_lo is kept, a row with d >= d_hi is rejected, and only the
-rows strictly inside get the full alternating sum: at alpha 0.05, 0.65
-of 1024 on average, and none in half the blocks.  The counts are those of
-calling ks_utp_asymptotic on every row.
-
 A given (seed, n, n_rep) reproduces the same rejection counts on every run.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -159,50 +147,29 @@ def _method_metadata(cfg: SimConfig) -> dict:
     return meta
 
 
-# A computed KS tail lies within about 3e-12 of the true, falling one: up
-# to 2e-12 from the dropped alternating terms, the rest from rounding.
-_KS_MARGIN = 1e-9
-
-
-@functools.lru_cache(maxsize=128)
-def _ks_window(alpha: float, n: int) -> tuple:
-    """(d_lo, d_hi) such that ks_utp_asymptotic(d, n) >= alpha for every
-    d <= d_lo and < alpha for every d >= d_hi; see the module docstring.
-
-    Each bound steps out from d0 by d0/1024, doubling the step, so the
-    search ends for every alpha in (0, 1) and n >= 1.  d_lo stops at the
-    flat-rate edge, below which the tail is exactly 1 and no row rejects:
-    for alpha above 1 - 1e-9 the tail never reaches alpha + 1e-9.  For
-    alpha at or below 1e-9, d_hi is inf and every row above d_lo gets the
-    full sum.
-    """
-    d0 = math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))
-    # the largest d whose rate 2 n d^2, computed as ks_utp_asymptotic does,
-    # stays below the flat rate; sqrt lands within an ulp or two of it
-    edge = math.sqrt(_KS_FLAT_RATE / (2.0 * n))
-    while 2.0 * n * edge * edge >= _KS_FLAT_RATE:
-        edge = math.nextafter(edge, 0.0)
-    step = d0 / 1024.0
-    while (d0 - step > edge
-           and ks_utp_asymptotic(d0 - step, n) < alpha + _KS_MARGIN):
-        step *= 2.0
-    d_lo = max(d0 - step, edge)
-    if alpha <= _KS_MARGIN:
-        return d_lo, math.inf
-    step = d0 / 1024.0
-    while ks_utp_asymptotic(d0 + step, n) > alpha - _KS_MARGIN:
-        step *= 2.0
-    return d_lo, d0 + step
+_KS_MARGIN = 1e-9  # far above the computed tail's error; see _ks_rejections
 
 
 def _ks_rejections(d: np.ndarray, alpha: float, n: int) -> int:
-    """The number of d with ks_utp_asymptotic(d, n) < alpha, summing the
-    tail only for the d inside _ks_window(alpha, n)."""
-    d_lo, d_hi = _ks_window(alpha, n)
-    inside = d[(d > d_lo) & (d < d_hi)]
-    count = np.count_nonzero(d >= d_hi)
-    if inside.size:
-        count += np.count_nonzero(ks_utp_asymptotic(inside, n) < alpha)
+    """The number of d with ks_utp_asymptotic(d, n) < alpha.
+
+    With h = e^(-2nd^2), the tail 2 sum_j (-1)^(j-1) h^(j^2) has falling
+    alternating terms, so lower = 2(h - h^4 + h^9 - h^16) <= tail <=
+    upper = 2(h - h^4 + h^9).  The computed tail is within 3e-12 of the
+    true one (up to 2e-12 from the terms it drops, the rest rounding), so a
+    row with upper < alpha - _KS_MARGIN is rejected, and one with lower >
+    alpha + _KS_MARGIN or a rate 2nd^2 under the flat rate (computed tail
+    exactly 1) is kept; only the rows left get the full sum."""
+    rate = 2.0 * n * d * d  # as ks_utp_asymptotic computes it
+    h = np.exp(-rate)
+    h4 = np.square(np.square(h))
+    upper = 2.0 * (h - h4 + h4 * h4 * h)
+    lower = upper - 2.0 * np.square(np.square(h4))
+    reject = upper < alpha - _KS_MARGIN
+    unsure = ~reject & (lower <= alpha + _KS_MARGIN) & (rate >= _KS_FLAT_RATE)
+    count = np.count_nonzero(reject)
+    if unsure.any():
+        count += np.count_nonzero(ks_utp_asymptotic(d[unsure], n) < alpha)
     return int(count)
 
 

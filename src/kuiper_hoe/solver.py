@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 
 from .series import _argument_error, _expansion
 
@@ -238,11 +239,16 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
     return KuiperPair(c, c / math.sqrt(n), alpha, n, k, iterations, f(c))
 
 
-def kuiper_utq(alpha: float, n: int, k: int) -> float:
-    """Upper tail quantile of V_n; returns 0.0 outright for alpha >= 0.9999.
+def _check_real(level, name: str) -> None:
+    """Reject a non-real level, and a bool, which the range checks read as 0 or 1."""
+    if isinstance(level, bool) or not isinstance(level, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not a bool, got {level!r}")
 
-    Always solved with the Newton iteration.
-    """
+
+def kuiper_utq(alpha: float, n: int, k: int) -> float:
+    """Upper tail quantile of V_n by the Newton iteration; 0.0 outright for
+    alpha >= 0.9999."""
+    _check_real(alpha, "alpha")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if alpha >= 0.9999:
@@ -253,6 +259,7 @@ def kuiper_utq(alpha: float, n: int, k: int) -> float:
 def kuiper_ltq(alpha: float, n: int, k: int) -> float:
     """Lower tail quantile of V_n, alpha in [0, 1): the upper tail quantile at
     1 - alpha (same code path, exact duality), so 0.0 for alpha <= 0.0001."""
+    _check_real(alpha, "alpha")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     return kuiper_utq(1.0 - alpha, n, k)
@@ -260,6 +267,7 @@ def kuiper_ltq(alpha: float, n: int, k: int) -> float:
 
 def kuiper_inv_cdf(x: float, n: int, k: int) -> float:
     """Inverse CDF of V_n at probability x, via the upper tail at 1 - x."""
+    _check_real(x, "probability x")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"probability x must be in [0, 1), got {x}")
     return kuiper_utq(1.0 - x, n, k)

@@ -42,7 +42,8 @@ def test_compare_counts_pairs_by_direction():
     lower = bench.compare(parent, checkout, "lower")
     assert lower == {"median_ratio": 11.0 / 12.0, "min_ratio": 9.0 / 10.0,
                      "pairs_better": 2, "pairs": 3,
-                     "median_gap_exceeds_parent_iqr": False}
+                     "median_gap_exceeds_parent_iqr": False,
+                     "verdict": "unresolved"}
     assert bench.compare(parent, checkout, "higher")["pairs_better"] == 1
 
 
@@ -52,6 +53,50 @@ def test_compare_flags_a_median_gap_beyond_the_parent_iqr():
                          "higher")["median_gap_exceeds_parent_iqr"]
     assert not bench.compare(parent, bench.summary([14.0, 14.0, 14.0]),
                              "higher")["median_gap_exceeds_parent_iqr"]
+
+
+_PARENT = [100.0, 101.0, 102.0, 103.0, 104.0,
+           105.0, 106.0, 107.0, 108.0, 109.0]  # quartiles 102.25 and 106.75
+
+
+def _verdict(checkout: list, direction: str = "higher") -> str:
+    return bench.compare(bench.summary(_PARENT), bench.summary(checkout),
+                         direction)["verdict"]
+
+
+@pytest.mark.parametrize("direction, shift, verdict", [
+    ("higher", 10.0, "better"), ("higher", -10.0, "worse"),
+    ("lower", -10.0, "better"), ("lower", 10.0, "worse"),
+])
+def test_verdict_needs_nine_pairs_and_a_gap_beyond_the_iqr(direction, shift,
+                                                           verdict):
+    moved = [x + shift for x in _PARENT]
+    assert _verdict(moved, direction) == verdict
+    # nine pairs of ten move; the tenth goes the other way
+    assert _verdict(moved[:9] + [_PARENT[9] - shift], direction) == verdict
+    # eight of ten are not enough, however far the median moves
+    assert _verdict(moved[:8] + [x - shift for x in _PARENT[8:]],
+                    direction) == "unresolved"
+
+
+def test_verdict_unresolved_on_a_gap_inside_the_iqr_or_a_2_in_10_split():
+    # every pair better by 1, but the median moved less than the IQR 4.5
+    assert _verdict([x + 1.0 for x in _PARENT]) == "unresolved"
+    # 2 of 10 pairs better: the median gap alone flags it, the verdict not
+    split = [x + 20.0 for x in _PARENT[:2]] + [x - 10.0 for x in _PARENT[2:]]
+    change = bench.compare(bench.summary(_PARENT), bench.summary(split),
+                           "higher")
+    assert change["pairs_better"] == 2
+    assert change["median_gap_exceeds_parent_iqr"]
+    assert change["verdict"] == "unresolved"
+
+
+def test_verdict_ties_count_for_neither_side():
+    # nine pairs worse and one tied: the tie is no loss, so 9 losses of 10
+    worse = [x - 10.0 for x in _PARENT[:9]] + [_PARENT[9]]
+    assert _verdict(worse) == "worse"
+    # eight worse and two tied: 8 of 10
+    assert _verdict(worse[:8] + _PARENT[8:]) == "unresolved"
 
 
 def test_report_is_side_major_with_the_change():

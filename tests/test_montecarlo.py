@@ -6,17 +6,19 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from kuiper_hoe import montecarlo
 from kuiper_hoe.baselines import (
+    _KS_FLAT_RATE,
     MODIFIED_ALPHA_MAX,
     ks_utp_asymptotic,
     modified_quantile,
 )
-from kuiper_hoe.gof import EdfScheme
+from kuiper_hoe.gof import EdfScheme, vn_from_probs
 from kuiper_hoe.montecarlo import (
+    _KS_MARGIN,
     BLOCK_REPS,
     SimConfig,
     _ks_rejections,
-    _ks_window,
     normal_cdf,
     simulate_type1,
 )
@@ -120,8 +122,9 @@ def _reference_rejections(cfg: SimConfig) -> dict:
     one block are consecutive draws of the block's own generator, and the
     statistics come from the plain formula, not from the library's kernel."""
     crit = {k: kuiper_utq(cfg.alpha, cfg.n, k) for k in cfg.k_set}
-    c_mk = modified_quantile(cfg.alpha)
-    t_mult = math.sqrt(cfg.n) + 0.155 + 0.24 / math.sqrt(cfg.n)
+    if "stephens" in cfg.comparators:
+        c_mk = modified_quantile(cfg.alpha)
+        t_mult = math.sqrt(cfg.n) + 0.155 + 0.24 / math.sqrt(cfg.n)
     counts = dict.fromkeys([f"hoe_k{k}" for k in cfg.k_set]
                            + list(cfg.comparators), 0)
     blocks = math.ceil(cfg.n_rep / BLOCK_REPS)
@@ -134,9 +137,11 @@ def _reference_rejections(cfg: SimConfig) -> dict:
             for k in cfg.k_set:
                 counts[f"hoe_k{k}"] += v > crit[k]
             d_plus, d_minus, v_exact = inline_vn(q, EdfScheme.STEPHENS_MIXED)
-            counts["ks"] += float(ks_utp_asymptotic(max(d_plus, d_minus),
-                                                    cfg.n)) < cfg.alpha
-            counts["stephens"] += v_exact * t_mult > c_mk
+            if "ks" in cfg.comparators:
+                counts["ks"] += float(ks_utp_asymptotic(max(d_plus, d_minus),
+                                                        cfg.n)) < cfg.alpha
+            if "stephens" in cfg.comparators:
+                counts["stephens"] += v_exact * t_mult > c_mk
     return counts
 
 
@@ -146,6 +151,18 @@ class TestBlockLayout:
         # 2500 replications: two full blocks and one partial block
         cfg = SimConfig(n=12, k_set=(1, 3, 5), n_rep=2500, seed=2024,
                         scheme=scheme, comparators=("ks", "stephens"))
+        assert simulate_type1(cfg).rejections == _reference_rejections(cfg)
+
+    @pytest.mark.parametrize("scheme", [EdfScheme.SCHEME0,
+                                        EdfScheme.STEPHENS_MIXED])
+    @pytest.mark.parametrize("alpha, comparators", [
+        (0.5, ("ks", "stephens")),
+        (0.95, ("ks",)),  # above the Stephens quantile's peak level
+    ])
+    def test_counts_match_plain_reference_loop_at_more_levels(
+            self, alpha, comparators, scheme):
+        cfg = SimConfig(n=12, alpha=alpha, k_set=(1, 3, 5), n_rep=1100,
+                        seed=7, scheme=scheme, comparators=comparators)
         assert simulate_type1(cfg).rejections == _reference_rejections(cfg)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, 1.5, math.nan])
@@ -235,24 +252,71 @@ class TestBlockLayout:
         assert simulate_type1(cfg).rejections == simulate_type1(plain).rejections
 
 
+def _bracket(d: float, n: int) -> tuple:
+    """(lower, upper): the alternating KS tail summed to four and three terms."""
+    h = math.exp(-2.0 * n * d * d)
+    upper = 2.0 * (h - h ** 4 + h ** 9)
+    return upper - 2.0 * h ** 16, upper
+
+
+def _switches(test, lo: float, hi: float, steps: int = 4000) -> list:
+    """Adjacent float pairs (a, b) in [lo, hi] where test(a) != test(b),
+    found on a grid of steps and narrowed by bisection."""
+    grid = np.linspace(lo, hi, steps + 1).tolist()
+    pairs = []
+    for a, b in zip(grid, grid[1:]):
+        side = test(a)
+        if test(b) == side:
+            continue
+        while math.nextafter(a, b) < b:
+            mid = a + (b - a) / 2.0
+            mid = mid if a < mid < b else math.nextafter(a, b)
+            if test(mid) == side:
+                a = mid
+            else:
+                b = mid
+        pairs.append((a, b))
+    return pairs
+
+
+def _flat_edge(n: int) -> float:
+    """The largest d whose rate 2 n d^2 is under the flat rate."""
+    edge = math.sqrt(_KS_FLAT_RATE / (2.0 * n))
+    while 2.0 * n * edge * edge >= _KS_FLAT_RATE:
+        edge = math.nextafter(edge, 0.0)
+    while 2.0 * n * math.nextafter(edge, 1.0) ** 2 < _KS_FLAT_RATE:
+        edge = math.nextafter(edge, 1.0)
+    return edge
+
+
 class TestKsWindow:
-    @pytest.mark.parametrize("alpha", [1e-12, 1e-4, 0.05, 0.5, 1 - 1e-12])
+    """The rows _ks_rejections leaves to the full tail: those its bracket
+    does not decide.  Every count equals a tail per row."""
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-4, 0.05, 0.5, 0.9,
+                                       1 - 1e-12])
     @pytest.mark.parametrize("n", [1, 2, 10, 180, 400])
     def test_counts_match_a_tail_per_row(self, alpha, n):
-        d_lo, d_hi = _ks_window(alpha, n)
-        planted = [d for edge in (d_lo, d_hi) if edge < math.inf
-                   for d in (np.nextafter(edge, 0.0), edge,
-                             np.nextafter(edge, math.inf))]
-        top = 1.5 * (d_hi if d_hi < math.inf else d_lo)
-        d = np.concatenate([planted, np.linspace(0.0, top, 401),
-                            np.linspace(d_lo, min(d_hi, top), 101)])
-        rejects = [float(ks_utp_asymptotic(x, n)) < alpha for x in d.tolist()]
-        assert _ks_rejections(d, alpha, n) == sum(rejects)
+        top = 1.5 * math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))  # 1.5 d0
+        edges = [_flat_edge(n)]
+        for test in (lambda x: _bracket(x, n)[1] < alpha - _KS_MARGIN,
+                     lambda x: _bracket(x, n)[0] > alpha + _KS_MARGIN):
+            edges += [x for pair in _switches(test, 0.0, top) for x in pair]
+        planted = sorted({y for x in edges for y in
+                          (math.nextafter(x, 0.0), x, math.nextafter(x, 2.0))})
+        rejects = [float(ks_utp_asymptotic(x, n)) < alpha for x in planted]
         for x, reject in zip(planted, rejects):
             assert _ks_rejections(np.array([x]), alpha, n) == reject
-        assert not rejects[1]  # d_lo itself
-        if d_hi < math.inf:
-            assert rejects[4]  # d_hi itself
+        grid = np.linspace(0.0, top, 401)
+        assert _ks_rejections(np.concatenate([planted, grid]), alpha, n) == (
+            sum(rejects) + np.count_nonzero(ks_utp_asymptotic(grid, n) < alpha))
+        # seeded sorted blocks, the statistic the KS comparator sees
+        q = np.random.default_rng(n).random((BLOCK_REPS, n))
+        q.sort(axis=1)
+        d_plus, d_minus, _ = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
+        d = np.maximum(d_plus, d_minus)
+        assert _ks_rejections(d, alpha, n) == np.count_nonzero(
+            ks_utp_asymptotic(d, n) < alpha)
 
     def test_tail_just_above_a_tiny_alpha_is_kept(self):
         # 2 e^(-2nd^2) is 1.01e-12 at d = 0.532, n = 50; the tail once read
@@ -260,15 +324,40 @@ class TestKsWindow:
         assert float(ks_utp_asymptotic(0.532, 50)) > 1e-12
         assert _ks_rejections(np.array([0.532, 0.54]), 1e-12, 50) == 1
 
-    def test_lower_bound_stops_at_the_flat_edge_near_alpha_1(self):
-        # the tail never reaches alpha + 1e-9 there, and is exactly 1 below
-        # the edge, where the rate 2 n d^2 is under the flat rate 0.05
+    def test_lower_bound_stops_at_the_flat_edge_near_alpha_1(self, monkeypatch):
+        # the lower bracket never reaches alpha + 1e-9 there; rows below the
+        # edge, where the rate 2 n d^2 is under the flat rate 0.05 and the
+        # tail is exactly 1, are kept without the full sum, and the first
+        # row above it gets the full sum, which keeps it too
+        summed = []
+
+        def tail(d, n):
+            summed.extend(d.tolist())
+            return ks_utp_asymptotic(d, n)
+
+        monkeypatch.setattr(montecarlo, "ks_utp_asymptotic", tail)
         for n in (1, 10, 400):
-            d_lo = _ks_window(1 - 1e-12, n)[0]
-            assert 2.0 * n * d_lo * d_lo < 0.05
-            assert ks_utp_asymptotic(d_lo, n) == 1.0
-            up = np.nextafter(d_lo, math.inf)
-            assert 2.0 * n * up * up >= 0.05
+            edge = _flat_edge(n)
+            below = np.array([0.0, edge / 2.0, edge])
+            assert ks_utp_asymptotic(below, n).tolist() == [1.0, 1.0, 1.0]
+            assert _ks_rejections(below, 1 - 1e-12, n) == 0
+            assert summed == []
+            up = math.nextafter(edge, 1.0)
+            assert _bracket(up, n)[0] < 1 - 1e-12 + _KS_MARGIN
+            assert _ks_rejections(np.array([up]), 1 - 1e-12, n) == 0
+            assert summed == [up]
+            summed.clear()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_bracket_decides_every_row_of_a_block(self, alpha, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "ks_utp_asymptotic",
+                            lambda d, n: calls.append(d))
+        q = np.random.default_rng(2024).random((BLOCK_REPS, 50))
+        q.sort(axis=1)
+        d_plus, d_minus, _ = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
+        _ks_rejections(np.maximum(d_plus, d_minus), alpha, 50)
+        assert calls == []
 
 
 class TestSerialization:

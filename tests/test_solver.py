@@ -465,6 +465,24 @@ class TestQuantiles:
             kuiper_inv_cdf(x, 10, 1)
         assert str(err.value) == f"probability x must be in [0, 1), got {x}"
 
+    @pytest.mark.parametrize("level", [True, False, np.True_, np.False_],
+                             ids=["True", "False", "np.True_", "np.False_"])
+    @pytest.mark.parametrize("wrapper, name", [
+        (kuiper_utq, "alpha"), (kuiper_ltq, "alpha"),
+        (kuiper_inv_cdf, "probability x")], ids=["utq", "ltq", "inv_cdf"])
+    def test_bool_level_rejected(self, wrapper, name, level):
+        # the range checks would read it as 0 or 1 and return the 0.0 guard
+        with pytest.raises(ValueError) as err:
+            wrapper(level, 10, 5)
+        assert str(err.value) == (f"{name} must be a real number, not a bool, "
+                                  f"got {level!r}")
+
+    def test_numpy_real_levels_accepted(self):
+        assert kuiper_utq(np.float64(0.05), 10, 5) == kuiper_utq(0.05, 10, 5)
+        assert kuiper_ltq(np.int64(0), 10, 5) == 0.0
+        assert kuiper_inv_cdf(np.float64(0.5), 10, 5) == kuiper_inv_cdf(
+            0.5, 10, 5)
+
     def test_inv_cdf_round_trip(self):
         for x in (0.6, 0.9, 0.95, 0.99):
             for n in (6, 20, 100):
