@@ -22,21 +22,15 @@ at the guard levels 0, 1e-5, 1e-4 and the float after it, at 0.05, 0.5,
 ``edf_probs`` positions for n = 1..2000 under the five single schemes; and
 runs ``simulate_type1`` with comparators ks and stephens under all six
 schemes at n in {1, 2, 10, 180} for three seeds, each with the orders that
-have a quantile there.  Prints the outcome counts and a sha256 per part.
-A solved pair feeds ``c.hex()``, its iteration count and ``residual.hex()``
-into the solver digest, a failed one its exception type, message,
-``argument`` and ``steps``, and each solve then the category and text of
-every warning it emitted; each series ``Probability`` feeds the ``hex()``
-of its raw and clamped values, ``clamped`` and ``warning``, each
-``b_series`` value its ``hex()``, each statistic the ``hex()`` of D+, D-
-and V_n, each quantile its ``hex()`` or its exception type and message,
-each position its ``hex()``, and each simulation its rejection counts.
-The cli part runs a fixed list of ``cli.main`` calls (in text format the
-README examples, ``table`` at the seven reference levels and at 0.001,
-two simulations, ``test`` on a seeded file, and calls that exit 2 or 3;
-in json and csv format ``pair``, ``cdf``, ``table``, ``test`` and a
-simulation with comparators) and hashes each one's argv, stdout, stderr
-and exit code, with its temporary directory written as ``<tmp>``.  Two
+have a quantile there.  The cli part runs a fixed list of ``cli.main``
+calls (in text format the README examples, ``table`` at the seven
+reference levels and at 0.001, two simulations, ``test`` on a seeded file,
+and calls that exit 2 or 3; in json and csv format ``pair``, ``cdf``,
+``table``, ``test`` and a simulation with comparators).
+
+Each part yields its records as (outcome, count, text): ``main`` hashes
+the texts of each part, adds up the counts, and prints one line per part
+with its total and sha256; the solver line also counts each outcome.  Two
 revisions that print the same lines give the same numbers on this grid.
 """
 
@@ -128,9 +122,7 @@ def scalar_only_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def solver_part() -> tuple[collections.Counter, str]:
-    counts = collections.Counter()
-    digest = hashlib.sha256()
+def solver_part():
     for method in METHODS:
         for alpha in ALPHAS.tolist():
             for n in CAPACITIES:
@@ -149,93 +141,71 @@ def solver_part() -> tuple[collections.Counter, str]:
                                       f"{pair.residual.hex()}")
                     for w in caught:
                         record += f"\n{w.category.__name__}: {w.message}"
-                    counts[name] += 1
-                    digest.update(record.encode() + b"\n")
-    return counts, digest.hexdigest()
+                    yield name, 1, record + "\n"
 
 
-def probability_record(p) -> bytes:
-    return f"{p.raw.hex()} {float(p).hex()} {p.clamped} {p.warning}\n".encode()
+def probability_record(p) -> tuple[None, int, str]:
+    return None, 1, f"{p.raw.hex()} {float(p).hex()} {p.clamped} {p.warning}\n"
 
 
-def series_part() -> tuple[int, str]:
-    digest = hashlib.sha256()
-    values = 0
+def series_part():
     for n in SERIES_CAPACITIES:
         for k in ORDERS:
             for c in SERIES_C.tolist():
-                for p in (utp(c, n, k, truncated=True), cdf_kn(c, n, k)):
-                    digest.update(probability_record(p))
-                    values += 1
+                yield probability_record(utp(c, n, k, truncated=True))
+                yield probability_record(cdf_kn(c, n, k))
     for raw in RAW_PROBABILITIES:
-        digest.update(probability_record(Probability(raw)))
-        values += 1
-    return values, digest.hexdigest()
+        yield probability_record(Probability(raw))
 
 
-def series_wide_part() -> tuple[int, str]:
-    digest = hashlib.sha256()
-    values = 0
+def series_wide_part():
     for i in range(6):
         for c in WIDE_C.tolist():
-            digest.update(b_series(i, c).hex().encode() + b"\n")
-            values += 1
+            yield None, 1, b_series(i, c).hex() + "\n"
     for n in WIDE_CAPACITIES:
         for k in ORDERS:
             for c in WIDE_C.tolist():
-                for p in (cdf_kn(c, n, k), utp(c, n, k)):
-                    digest.update(probability_record(p))
-                    values += 1
-    return values, digest.hexdigest()
+                yield probability_record(cdf_kn(c, n, k))
+                yield probability_record(utp(c, n, k))
 
 
-def gof_part() -> tuple[int, str]:
-    digest = hashlib.sha256()
-    values = 0
+def gof_part():
     for n in GOF_CAPACITIES:
         sample = SampleSet(np.random.default_rng(n).normal(0.2, 1.1, n).tolist())
         for scheme in EdfScheme:
             for cdf in (normal_cdf, scalar_only_cdf):
                 stats = compute_vn(sample, cdf, scheme)
-                digest.update(" ".join(v.hex() for v in stats).encode() + b"\n")
-                values += len(stats)
-    return values, digest.hexdigest()
+                yield None, len(stats), " ".join(v.hex() for v in stats) + "\n"
 
 
-def wrapper_part() -> tuple[int, str]:
-    digest = hashlib.sha256()
-    values = 0
+def call_record(call) -> tuple[None, int, str]:
+    """The repr of what call() returns, or the type and message of what it
+    raises."""
+    try:
+        text = repr(call())
+    except Exception as exc:
+        text = f"{type(exc).__name__} {exc}"
+    return None, 1, text + "\n"
 
-    def feed(f, *args) -> None:
-        nonlocal values
-        try:
-            record = repr(f(*args))
-        except Exception as exc:
-            record = f"{type(exc).__name__} {exc}"
-        digest.update(record.encode() + b"\n")
-        values += 1
 
+def wrapper_part():
     for n, k in QUANTILE_KEYS:
         for level in LEVELS:
             for f in (kuiper_utq, kuiper_ltq, kuiper_inv_cdf):
-                feed(lambda: f(level, n, k).hex())
+                yield call_record(lambda: f(level, n, k).hex())
     for n in range(1, 2001):
         for scheme in EdfScheme:
             if scheme is not EdfScheme.STEPHENS_MIXED:
-                digest.update(" ".join(map(float.hex, edf_probs(n, scheme)))
-                              .encode() + b"\n")
-                values += n
+                yield None, n, " ".join(map(float.hex, edf_probs(n, scheme))) + "\n"
     for n, alpha, orders in SIM_CASES:
         for seed in SIM_SEEDS:
             for scheme in EdfScheme:
-                feed(lambda: simulate_type1(SimConfig(
+                yield call_record(lambda: simulate_type1(SimConfig(
                     n=n, alpha=alpha, k_set=orders, n_rep=1500, seed=seed,
                     scheme=scheme, comparators=("ks", "stephens"))).rejections)
-    return values, digest.hexdigest()
 
 
-def cli_part() -> tuple[int, str]:
-    digest = hashlib.sha256()
+def cli_part():
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in CLI_FILES.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
@@ -245,25 +215,28 @@ def cli_part() -> tuple[int, str]:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_main(call.format(tmp=tmp).split())
             record = f"$ {call}\n{out.getvalue()}{err.getvalue()}exit {code}\n"
-            digest.update(record.replace(tmp, "<tmp>").encode())
-    return len(CLI_CALLS), digest.hexdigest()
+            yield None, 1, record.replace(tmp, "<tmp>")
+
+
+# (name, unit, records) in print order
+PARTS = (("solver", "solves", solver_part), ("series", "values", series_part),
+         ("gof", "values", gof_part), ("wrappers", "values", wrapper_part),
+         ("series-wide", "values", series_wide_part), ("cli", "calls", cli_part))
 
 
 def main() -> None:
-    counts, solver_digest = solver_part()
-    print(f"solver {sum(counts.values())} solves: "
-          + ", ".join(f"{name} {count}" for name, count in counts.most_common())
-          + f"; sha256 {solver_digest}")
-    values, series_digest = series_part()
-    print(f"series {values} values; sha256 {series_digest}")
-    values, gof_digest = gof_part()
-    print(f"gof {values} values; sha256 {gof_digest}")
-    values, wrapper_digest = wrapper_part()
-    print(f"wrappers {values} values; sha256 {wrapper_digest}")
-    values, wide_digest = series_wide_part()
-    print(f"series-wide {values} values; sha256 {wide_digest}")
-    calls, cli_digest = cli_part()
-    print(f"cli {calls} calls; sha256 {cli_digest}")
+    for name, unit, part in PARTS:
+        digest = hashlib.sha256()
+        total = 0
+        outcomes = collections.Counter()
+        for outcome, count, text in part():
+            digest.update(text.encode())
+            total += count
+            outcomes[outcome] += 1
+        tally = ", ".join(f"{outcome} {n}" for outcome, n in outcomes.most_common()
+                          if outcome is not None)
+        print(f"{name} {total} {unit}{': ' + tally if tally else ''}; "
+              f"sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -224,6 +224,7 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
     """
     if method not in ("direct", "newton"):
         raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
+    _check_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     f = _residual(alpha, n, k)
@@ -240,9 +241,15 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
 
 
 def _check_real(level, name: str) -> None:
-    """Reject a non-real level, and a bool, which the range checks read as 0 or 1."""
-    if isinstance(level, bool) or not isinstance(level, numbers.Real):
+    """Reject a Python or NumPy bool, which the range checks read as 0 or 1,
+    and a level that is not a real number, which they cannot compare.  A
+    float passes on its type alone: the solver checks every call."""
+    if type(level) is float:
+        return
+    if isinstance(level, bool) or getattr(level, "dtype", None) == bool:
         raise ValueError(f"{name} must be a real number, not a bool, got {level!r}")
+    if not isinstance(level, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {level!r}")
 
 
 def kuiper_utq(alpha: float, n: int, k: int) -> float:

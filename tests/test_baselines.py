@@ -143,6 +143,22 @@ class TestModifiedStatistic:
             modified_statistic(v_n, 4)
 
 
+@pytest.mark.parametrize("value", [True, np.False_], ids=["True", "np.False_"])
+@pytest.mark.parametrize("call, name", [
+    (lambda value: modified_statistic(value, 10), "v_n"),
+    (lambda value: stephens_utp(value, 10), "v"),
+    (lambda value: stephens_cdf_small_v(value, 1), "v"),
+    (lambda value: ks_utp_asymptotic(value, 10), "statistic d"),
+], ids=["modified_statistic", "stephens_utp", "stephens_cdf_small_v",
+        "ks_utp_asymptotic"])
+def test_bool_statistic_rejected(call, name, value):
+    # each read a bool as 0 or 1 and returned a number
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == (f"{name} must be a real number, not a bool, "
+                              f"got {value!r}")
+
+
 class TestModifiedQuantile:
     # The tabulated large-n order-1 entries still carry the 1/sqrt(n)
     # correction, which shifts c by ~3.3e-4 at n = 10^6; the quantile of the
@@ -234,6 +250,14 @@ class TestKsTail:
         # a NaN would never meet the stop test of the alternating sum
         with pytest.raises(ValueError, match="nonnegative and finite"):
             ks_utp_asymptotic(d, 10)
+
+    @pytest.mark.parametrize("d", [[0.1, 0.2], "0.1", None],
+                             ids=["list", "str", "None"])
+    def test_rejects_d_neither_real_nor_array(self, d):
+        # a list died in NumPy's conversion of a 1-d array to a float
+        with pytest.raises(ValueError) as err:
+            ks_utp_asymptotic(d, 10)
+        assert str(err.value) == f"statistic d must be a real number, got {d!r}"
 
     @staticmethod
     def dual_form(rate):

@@ -23,6 +23,9 @@ from kuiper_hoe.solver import (
     kuiper_utq,
 )
 from kuiper_hoe import solver
+from kuiper_hoe.baselines import modified_quantile
+from kuiper_hoe.gof import SampleSet, kuiper_test
+from kuiper_hoe.montecarlo import SimConfig, normal_cdf
 from kuiper_hoe.series import cdf_vn, fun_a0, fun_aj, utp
 
 from table_data import PAIR_TABLES
@@ -402,6 +405,21 @@ class TestResidualBuiltOnce:
         assert {"ok", "alpha_gap", "tail_coefficient"} <= set(kinds)
 
 
+# Every entry point that takes a level, with the name its messages give it.
+LEVEL_CALLS = [
+    (lambda level: kuiper_utq(level, 10, 5), "alpha"),
+    (lambda level: kuiper_ltq(level, 10, 5), "alpha"),
+    (lambda level: kuiper_inv_cdf(level, 10, 5), "probability x"),
+    (lambda level: kuiper_pair_solver(level, 10, 1), "alpha"),
+    (lambda level: kuiper_test(SampleSet([0.1, -0.3, 0.5]), normal_cdf,
+                               alpha=level), "alpha"),
+    (lambda level: SimConfig(n=10, alpha=level), "alpha"),
+    (modified_quantile, "alpha"),
+]
+LEVEL_CALL_IDS = ["utq", "ltq", "inv_cdf", "pair_solver", "kuiper_test",
+                  "SimConfig", "modified_quantile"]
+
+
 class TestQuantiles:
     def test_utq_guard(self):
         assert kuiper_utq(0.99995, 10, 1) == 0.0
@@ -467,15 +485,21 @@ class TestQuantiles:
 
     @pytest.mark.parametrize("level", [True, False, np.True_, np.False_],
                              ids=["True", "False", "np.True_", "np.False_"])
-    @pytest.mark.parametrize("wrapper, name", [
-        (kuiper_utq, "alpha"), (kuiper_ltq, "alpha"),
-        (kuiper_inv_cdf, "probability x")], ids=["utq", "ltq", "inv_cdf"])
-    def test_bool_level_rejected(self, wrapper, name, level):
-        # the range checks would read it as 0 or 1 and return the 0.0 guard
+    @pytest.mark.parametrize("call, name", LEVEL_CALLS, ids=LEVEL_CALL_IDS)
+    def test_bool_level_rejected(self, call, name, level):
+        # the range checks would read it as 0 or 1
         with pytest.raises(ValueError) as err:
-            wrapper(level, 10, 5)
+            call(level)
         assert str(err.value) == (f"{name} must be a real number, not a bool, "
                                   f"got {level!r}")
+
+    @pytest.mark.parametrize("level", ["0.05", None], ids=["str", "None"])
+    @pytest.mark.parametrize("call, name", LEVEL_CALLS, ids=LEVEL_CALL_IDS)
+    def test_non_real_level_rejected(self, call, name, level):
+        # the range checks raised a bare TypeError from the comparison
+        with pytest.raises(ValueError) as err:
+            call(level)
+        assert str(err.value) == f"{name} must be a real number, got {level!r}"
 
     def test_numpy_real_levels_accepted(self):
         assert kuiper_utq(np.float64(0.05), 10, 5) == kuiper_utq(0.05, 10, 5)
