@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .series import Probability, _check_capacity
-from .solver import _check_real, _iterate, _newton_step, get_init_value
+from .series import Probability, _check_capacity, _check_real
+from .solver import _iterate, _newton_step, get_init_value
 
 __all__ = [
     "stephens_utp",
@@ -35,7 +35,7 @@ def stephens_utp(v: float, n: int) -> Probability:
     raw factorials overflow for large n.
     """
     _check_capacity(n)
-    _check_real(v, "v")
+    v = _check_real(v, "v")
     if not math.isfinite(v):  # NaN and inf pass the floor test below
         raise ValueError(f"stephens_utp requires a finite v, got {v}")
     floor = 0.5 if n % 2 == 0 else (n - 1) / (2 * n)
@@ -72,7 +72,7 @@ def stephens_cdf_small_v(v: float, n: int) -> Probability:
     log space to dodge factorial overflow.
     """
     _check_capacity(n)
-    _check_real(v, "v")
+    v = _check_real(v, "v")
     if not (1.0 / n <= v <= 3.0 / n):
         raise ValueError(
             f"stephens_cdf_small_v is defined on [{1.0 / n:.6g}, {3.0 / n:.6g}] "
@@ -96,7 +96,7 @@ def stephens_cdf_small_v(v: float, n: int) -> Probability:
 
 def modified_statistic(v_n: float, n: int) -> float:
     """Stephens' modified statistic T_n = V_n (sqrt(n) + 0.155 + 0.24/sqrt(n))."""
-    _check_real(v_n, "v_n")
+    v_n = _check_real(v_n, "v_n")
     if not 0.0 <= v_n < math.inf:
         raise ValueError(f"v_n must be nonnegative and finite, got {v_n}")
     _check_capacity(n)
@@ -126,7 +126,7 @@ def modified_quantile(alpha: float) -> float:
     critical value as n grows.  Levels above its peak 4 e^{-3/2} ~ 0.892521
     have no root and raise ValueError.
     """
-    _check_real(alpha, "alpha")
+    alpha = _check_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     _check_modified_level(alpha)
@@ -154,8 +154,8 @@ def ks_utp_asymptotic(d, n: int):
     of the unclamped sum; an ndarray of d gives the clamped tails as an
     array, each summed with the same terms.
     """
-    if not isinstance(d, np.ndarray):
-        _check_real(d, "statistic d")
+    if not isinstance(d, np.ndarray) or d.dtype == bool:
+        d = _check_real(d, "statistic d")  # raises for a bool array
     arr = np.asarray(d, dtype=float)
     bad = ~((arr >= 0.0) & (arr < math.inf))  # NaN fails both comparisons
     if bad.any():

@@ -13,7 +13,6 @@ import csv
 import functools
 import json
 import math
-import os
 import re
 import sys
 
@@ -213,8 +212,6 @@ def cmd_quantile(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    if (args.v is None) == (args.c is None):
-        raise ValueError("give exactly one of --v or --c")
     c = args.c if args.v is None else _scale_v(args.v, args.n)
     p = cdf_kn(c, args.n, args.k)
     tail = utp(c, args.n, args.k)
@@ -275,17 +272,10 @@ def cmd_simulate(args) -> int:
     from .montecarlo import SimConfig, simulate_type1
 
     k_list = _parse_int_list(args.k, "--k")
-    comparators = tuple(s.strip() for s in args.comparators.split(",") if s.strip())
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("KUIPER_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ValueError(f"KUIPER_SEED must be an integer >= 0, "
-                             f"got {raw!r}") from None
+    comparators = (() if args.comparators is None else
+                   tuple(s.strip() for s in args.comparators.split(",")))
     cfg = SimConfig(n=args.n, alpha=args.alpha, k_set=tuple(k_list),
-                    n_rep=args.nrep, seed=seed,
+                    n_rep=args.nrep, seed=args.seed,
                     scheme=EdfScheme.from_string(args.scheme),
                     comparators=comparators)
     result = simulate_type1(cfg)
@@ -341,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_quantile)
 
     p = sub.add_parser("cdf", help="CDF and UTP at a statistic value")
-    p.add_argument("--v", type=float, default=None, help="raw statistic V_n")
-    p.add_argument("--c", type=float, default=None, help="scaled statistic K_n")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--v", type=float, help="raw statistic V_n")
+    given.add_argument("--c", type=float, help="scaled statistic K_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=5)
     add_common(p)
@@ -373,11 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--k", default="1,2,3,4,5", help="comma list of k")
     p.add_argument("--nrep", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: KUIPER_SEED env var or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--scheme", default="scheme0")
-    p.add_argument("--comparators", default="",
-                   help="comma list from {ks, stephens}")
+    p.add_argument("--comparators", help="comma list from {ks, stephens}")
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import Probability, _check_capacity, utp
-from .solver import _check_real, kuiper_utq
+from .series import Probability, _check_capacity, _check_real, utp
+from .solver import kuiper_utq
 
 __all__ = [
     "EdfScheme",
@@ -257,7 +257,7 @@ def kuiper_test(sample: SampleSet, hypothesized_cdf, alpha: float = 0.05,
     p-value uses the full coefficient series; for a degenerate V_n of zero
     it is 1 by convention.
     """
-    _check_real(alpha, "alpha")
+    alpha = _check_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     d_plus, d_minus, v_n = compute_vn(sample, hypothesized_cdf, scheme)

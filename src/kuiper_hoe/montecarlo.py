@@ -38,8 +38,8 @@ from .baselines import (
     modified_statistic,
 )
 from .gof import EdfScheme, vn_from_probs
-from .series import _is_integer, fun_a0
-from .solver import _check_real, kuiper_utq
+from .series import _check_real, _is_integer, fun_a0
+from .solver import kuiper_utq
 
 __all__ = [
     "BLOCK_REPS",
@@ -97,7 +97,7 @@ class SimConfig:
             raise ValueError("k_set needs at least one order")
         for k in self.k_set:
             fun_a0(self.n, k)  # checks (n, k) through the expansion cache
-        _check_real(self.alpha, "alpha")
+        object.__setattr__(self, "alpha", _check_real(self.alpha, "alpha"))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not _is_integer(self.n_rep) or self.n_rep < 1:

@@ -154,8 +154,28 @@ def _check_capacity(n: int) -> None:
         raise ValueError(f"sample capacity n must be an integer >= 1, got {n!r}")
 
 
-def _argument_error(c: float) -> ValueError:
-    return ValueError(f"statistic argument c must be positive and finite, got {c}")
+def _check_real(level, name: str) -> float:
+    """``level`` as a float, so that a NumPy float32 is computed in double
+    precision.  Rejects a Python or NumPy bool, which the range checks read
+    as 0 or 1, and a level that is not a real number, which they cannot
+    compare.  A float returns after one type test."""
+    if type(level) is float:
+        return level
+    if isinstance(level, bool) or getattr(level, "dtype", None) == bool:
+        raise ValueError(f"{name} must be a real number, not a bool, got {level!r}")
+    if not isinstance(level, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {level!r}")
+    return float(level)
+
+
+def _statistic(x, name: str = "c") -> float:
+    """The statistic argument x as a float, checked positive and finite.
+    The callers test a float in (0, inf) first and skip this call."""
+    value = _check_real(x, f"statistic argument {name}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"statistic argument {name} must be positive and "
+                         f"finite, got {x}")
+    return value
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
@@ -248,8 +268,8 @@ def b_series(i: int, c: float) -> float:
     """
     if not _is_integer(i) or not 0 <= i <= 5:
         raise ValueError(f"coefficient index i must be an integer in 0..5, got {i!r}")
-    if not 0.0 < c < math.inf:
-        raise _argument_error(c)
+    if type(c) is not float or not 0.0 < c < math.inf:
+        c = _statistic(c)
     return _evaluate(_SINGLE_ORDERS[i], c)
 
 
@@ -278,8 +298,8 @@ def fun_aj(j: int, c: float, n: int, k: int) -> float:
     """
     if not _is_integer(j) or j not in (1, 2):
         raise ValueError(f"coefficient index j must be 1 or 2, got {j!r}")
-    if not 0.0 < c < math.inf:
-        raise _argument_error(c)
+    if type(c) is not float or not 0.0 < c < math.inf:
+        c = _statistic(c)
     return _tail_coefficients(_expansion(n, k), c)[j - 1]
 
 
@@ -296,8 +316,8 @@ def cdf_kn(c: float, n: int, k: int) -> Probability:
     1 - 1/(18n) + 1/(648n^2) rather than exactly 1; the residue is the
     order-n^{-1} constant of the expansion itself.
     """
-    if not 0.0 < c < math.inf:
-        raise _argument_error(c)
+    if type(c) is not float or not 0.0 < c < math.inf:
+        c = _statistic(c)
     return Probability(_evaluate(_expansion(n, k), c),
                        _floor_warning(c) if c < TRUST_FLOOR else None)
 
@@ -307,8 +327,8 @@ def _scale_v(v: float, n: int) -> float:
     rejected by a message naming v and n."""
     if not (type(n) is int and 1 <= n <= _FLOAT_MAX):
         _check_capacity(n)
-    if not 0.0 < v < math.inf:
-        raise ValueError(f"statistic argument v must be positive and finite, got {v}")
+    if type(v) is not float or not 0.0 < v < math.inf:
+        v = _statistic(v, "v")
     c = v * math.sqrt(n)
     if c == math.inf:
         raise ValueError(f"statistic argument v={v} overflows c = v * sqrt(n) "
@@ -328,8 +348,8 @@ def utp(c: float, n: int, k: int, truncated: bool = False) -> Probability:
     [1 + A_0] + A_1 e^{-2c^2} + A_2 e^{-8c^2} is evaluated instead of the
     full series; useful for cross-checking solver residuals.
     """
-    if not 0.0 < c < math.inf:
-        raise _argument_error(c)
+    if type(c) is not float or not 0.0 < c < math.inf:
+        c = _statistic(c)
     if truncated:
         expansion = _expansion(n, k)
         c2 = c * c

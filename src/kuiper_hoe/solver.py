@@ -12,9 +12,8 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import numbers
 
-from .series import _argument_error, _expansion
+from .series import _check_real, _expansion, _statistic
 
 __all__ = [
     "KuiperPair",
@@ -121,7 +120,7 @@ def _residual(alpha: float, n: int, k: int):
             if c <= 0.0:
                 raise FixedPointDomainError(
                     f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
-            raise _argument_error(c)  # a NaN iterate must not come back solved
+            _statistic(c)  # raises: a NaN iterate must not come back solved
         tail = -h1 + (shift - h2) * math.exp(-6.0 * c * c)  # A1 + A2 exp(-6c^2)
         if tail <= 0.0:
             raise FixedPointDomainError(
@@ -140,12 +139,14 @@ def _residual(alpha: float, n: int, k: int):
 
 def f_nlm(c: float, alpha: float, n: int, k: int) -> float:
     """Log-form tail residual; zero exactly at the order-k quantile."""
-    return _residual(alpha, n, k)(c)
+    return _residual(_check_real(alpha, "alpha"), n, k)(
+        _check_real(c, "statistic argument c"))
 
 
 def f_ctm(c: float, alpha: float, n: int, k: int) -> float:
     """Contraction map whose fixed point is the order-k quantile."""
-    return _residual(alpha, n, k)(c, contraction=True)
+    return _residual(_check_real(alpha, "alpha"), n, k)(
+        _check_real(c, "statistic argument c"), contraction=True)
 
 
 def _newton_step(f, c: float) -> float:
@@ -224,7 +225,7 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
     """
     if method not in ("direct", "newton"):
         raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
-    _check_real(alpha, "alpha")
+    alpha = _check_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     f = _residual(alpha, n, k)
@@ -240,22 +241,10 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
     return KuiperPair(c, c / math.sqrt(n), alpha, n, k, iterations, f(c))
 
 
-def _check_real(level, name: str) -> None:
-    """Reject a Python or NumPy bool, which the range checks read as 0 or 1,
-    and a level that is not a real number, which they cannot compare.  A
-    float passes on its type alone: the solver checks every call."""
-    if type(level) is float:
-        return
-    if isinstance(level, bool) or getattr(level, "dtype", None) == bool:
-        raise ValueError(f"{name} must be a real number, not a bool, got {level!r}")
-    if not isinstance(level, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {level!r}")
-
-
 def kuiper_utq(alpha: float, n: int, k: int) -> float:
     """Upper tail quantile of V_n by the Newton iteration; 0.0 outright for
     alpha >= 0.9999."""
-    _check_real(alpha, "alpha")
+    alpha = _check_real(alpha, "alpha")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if alpha >= 0.9999:
@@ -266,7 +255,7 @@ def kuiper_utq(alpha: float, n: int, k: int) -> float:
 def kuiper_ltq(alpha: float, n: int, k: int) -> float:
     """Lower tail quantile of V_n, alpha in [0, 1): the upper tail quantile at
     1 - alpha (same code path, exact duality), so 0.0 for alpha <= 0.0001."""
-    _check_real(alpha, "alpha")
+    alpha = _check_real(alpha, "alpha")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     return kuiper_utq(1.0 - alpha, n, k)
@@ -274,7 +263,7 @@ def kuiper_ltq(alpha: float, n: int, k: int) -> float:
 
 def kuiper_inv_cdf(x: float, n: int, k: int) -> float:
     """Inverse CDF of V_n at probability x, via the upper tail at 1 - x."""
-    _check_real(x, "probability x")
+    x = _check_real(x, "probability x")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"probability x must be in [0, 1), got {x}")
     return kuiper_utq(1.0 - x, n, k)

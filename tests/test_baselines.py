@@ -159,6 +159,15 @@ def test_bool_statistic_rejected(call, name, value):
                               f"got {value!r}")
 
 
+def test_bool_array_statistic_rejected():
+    # a bool array was read as 0 and 1 and gave the tails [4.1e-09, 1.0]
+    d = np.array([True, False])
+    with pytest.raises(ValueError) as err:
+        ks_utp_asymptotic(d, 10)
+    assert str(err.value) == (f"statistic d must be a real number, not a bool, "
+                              f"got {d!r}")
+
+
 class TestModifiedQuantile:
     # The tabulated large-n order-1 entries still carry the 1/sqrt(n)
     # correction, which shifts c by ~3.3e-4 at n = 10^6; the quantile of the

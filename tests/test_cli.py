@@ -117,9 +117,11 @@ class TestCdfCommand:
     def test_needs_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "cdf", "--n", "10", "--k", "1")
         assert code == 2
-        code, _, _ = run_cli(capsys, "cdf", "--v", "0.5", "--c", "1.5",
-                             "--n", "10")
+        assert err.endswith("error: one of the arguments --v --c is required\n")
+        code, _, err = run_cli(capsys, "cdf", "--v", "0.5", "--c", "1.5",
+                               "--n", "10")
         assert code == 2
+        assert err.endswith("error: argument --c: not allowed with argument --v\n")
 
     @pytest.mark.parametrize("argv", [("--v", "0.5", "--n", "0"),
                                       ("--v", "0.5", "--n", "-3"),
@@ -514,18 +516,30 @@ class TestSimulateCommand:
             assert 0.0 <= p <= 1.0
             assert p == int(round(p * 150)) / 150
 
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("KUIPER_SEED", "4242")
-        code, out, _ = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
-                               "--nrep", "50", "--format", "csv")
-        assert code == 0
-        assert list(csv.DictReader(io.StringIO(out)))[0]["seed"] == "4242"
+    def test_seed_comes_from_the_flag_alone(self, capsys, monkeypatch):
+        # KUIPER_SEED was once read when --seed was absent
+        args = ("simulate", "--n", "10", "--nrep", "100")
+        monkeypatch.delenv("KUIPER_SEED", raising=False)
+        unset = run_cli(capsys, *args)
+        assert unset[0] == 0 and "seed=0 " in unset[1]
+        for value in ("4242", "abc"):
+            monkeypatch.setenv("KUIPER_SEED", value)
+            assert run_cli(capsys, *args) == unset
 
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("KUIPER_SEED", "4242")
+    @pytest.mark.parametrize("value", [",", "ks,,stephens", "ks,", ""])
+    def test_empty_comparator_item_exits_2(self, capsys, value):
+        # empty items were once dropped, so "," ran with no comparator
+        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
+                                 "--nrep", "20", "--comparators", value)
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown comparator ''; expected subset of "
+                       "('ks', 'stephens')\n")
+
+    def test_no_comparators_flag_runs_the_orders_alone(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
-                               "--nrep", "50", "--seed", "1", "--format", "csv")
-        assert list(csv.DictReader(io.StringIO(out)))[0]["seed"] == "1"
+                               "--nrep", "20", "--format", "csv")
+        assert code == 0
+        assert [r["method"] for r in csv.DictReader(io.StringIO(out))] == ["hoe_k1"]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be an integer >= 0, got -1"),
@@ -549,23 +563,6 @@ class TestSimulateCommand:
                                  "--nrep", "20")
         assert (code, out) == (2, "")
         assert err == "error: --k must be a comma list of integers, got '1,x'\n"
-
-    def test_env_seed_checked_like_the_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("KUIPER_SEED", "-3")
-        code, _, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
-                               "--nrep", "20")
-        assert code == 2
-        assert err == "error: seed must be an integer >= 0, got -3\n"
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "True", ""])
-    def test_env_seed_that_is_no_integer_names_the_variable(self, capsys,
-                                                            monkeypatch, value):
-        # once exited 2 with "invalid literal for int() with base 10: 'abc'"
-        monkeypatch.setenv("KUIPER_SEED", value)
-        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
-                                 "--nrep", "20")
-        assert (code, out) == (2, "")
-        assert err == f"error: KUIPER_SEED must be an integer >= 0, got {value!r}\n"
 
     def test_order_one_runs_at_n3(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--n", "3", "--k", "1",
