@@ -13,8 +13,9 @@ pair solve on the cdf_curve keys, which the cache holds, and ``fresh_key_us``:
 an alpha-0.05 upper tail quantile and a full ``utp`` on a key never used
 before, gof's series cost per op), and a calibrate block's layers:
 ``vn_block_{10,50,180}_us``, one scheme0 ``vn_from_probs`` call on a seeded
-sorted (1024, n) block, and ``sim_block_us``, one 1024-replication
-``simulate_type1`` at n = 50 with the ks and stephens comparators; and
+sorted (1024, n) block, and ``sim_block_{10,50,180}_us``, one
+1024-replication scheme0 ``simulate_type1`` at that n with the ks and
+stephens comparators; and
 ``table_{table,csv,json}_us``, one in-process ``cli.main(["table", "--alpha",
 "0.05", "--format", f])`` with stdout sent to a StringIO.
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
@@ -81,14 +82,15 @@ passes = {name: lambda f=f: per_key_call(f) for name, f in {
     "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True),
     "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k),
     "fresh_key_us": fresh_key}.items()}
-# a calibrate block's layers: the kernel on one seeded sorted (1024, n)
-# block, and a whole 1024-replication simulation at n = 50
+# a calibrate block's layers at each of its n: the kernel on one seeded
+# sorted (1024, n) block, and a whole 1024-replication simulation
 for n in (10, 50, 180):
     block = np.sort(np.random.default_rng(n).random((1024, n)), axis=1)
     passes[f"vn_block_{n}_us"] = lambda q=block: per_call(
         lambda: vn_from_probs(q, EdfScheme.SCHEME0), 200)
-sim = SimConfig(n=50, n_rep=1024, comparators=("ks", "stephens"))
-passes["sim_block_us"] = lambda: per_call(lambda: simulate_type1(sim), 20)
+    sim = SimConfig(n=n, n_rep=1024, comparators=("ks", "stephens"))
+    passes[f"sim_block_{n}_us"] = lambda cfg=sim: per_call(
+        lambda: simulate_type1(cfg), 20)
 # one in-process table command per format, its stdout sent to a StringIO
 def table_us(fmt):
     argv = ["table", "--alpha", "0.05", "--format", fmt]

@@ -10,14 +10,12 @@ each row.  The sorted uniforms serve directly as the hypothesized CDF
 values F(X_(t)): a standard-normal sample mapped back through its own CDF
 is that uniform sample again, so the normal transform is skipped.  One
 ``vn_from_probs`` pass per block gives every replication's V_n under the
-configured scheme; where D+ and D- share positions, that pass forms one
-difference array.  At n <= 100 the pass reduces along the block, over an
-(n, m) copy, and beyond that row by row, where the copy costs more than
-the short rows do (``vn_from_probs`` has the figures).  The comparators
-need the exact statistic (STEPHENS_MIXED: D+ at t/n, D- at (t-1)/n).
-Under scheme0 it is the block's D+ with the D- of a scheme1 pass, so the
-block makes two (m, n) subtractions in all; under any other scheme it is
-a STEPHENS_MIXED pass.
+configured scheme.  The comparators need the exact statistic
+(STEPHENS_MIXED: D+ at t/n, D- at (t-1)/n).  Under scheme0 that is the
+block's D+ and, as max_t(q_t - (t-1)/n) = max_t(q_t - t/n) + 1/n, its D-
+plus 1/n, within 2^-51 of a STEPHENS_MIXED pass (each side rounds at most
+three times, on values below 1): one (m, n) subtraction per block, and
+that pass only on rows whose D- floored at 0, or under any other scheme.
 
 A given (seed, n, n_rep) reproduces the same rejection counts on every run.
 """
@@ -112,11 +110,16 @@ class SimConfig:
                                  f"expected subset of {KNOWN_COMPARATORS}")
         if "stephens" in self.comparators:
             _check_modified_level(self.alpha)
+        for name in ("k_set", "comparators"):
+            for i, item in enumerate(value := getattr(self, name)):
+                if item in value[:i]:
+                    raise ValueError(f"{name} repeats {item!r}: {value!r}")
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-method rejection rates with binomial 95% half-widths."""
+    """Per-method rejection rates with binomial 95% half-widths; ``n_rep`` is
+    read by perfbench's tracer as its ``montecarlo.reps`` metric."""
 
     config: SimConfig
     rejections: dict
@@ -174,6 +177,14 @@ def _ks_rejections(d: np.ndarray, alpha: float, n: int) -> int:
     return int(count)
 
 
+def _exact_from_scheme0(q: np.ndarray, stat: tuple) -> tuple:
+    """A sorted (m, n) block's STEPHENS_MIXED (D+, D-, V_n) from its scheme0 ones."""
+    d_plus, d_minus = stat[0], stat[1] + 1.0 / q.shape[1]
+    floored = stat[1] == 0.0  # raw D- <= 0: the +1/n identity needs the raw value
+    d_minus[floored] = vn_from_probs(q[floored], EdfScheme.STEPHENS_MIXED)[1]
+    return d_plus, d_minus, d_plus + d_minus
+
+
 def simulate_type1(cfg: SimConfig) -> SimResult:
     """Estimate Pr{reject | H0 true} for each configured method.
 
@@ -199,11 +210,7 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
             rejections[f"hoe_k{k}"] += int(np.count_nonzero(stat[2] > v_crit))
         if use_ks or use_stephens:
             if cfg.scheme is EdfScheme.SCHEME0:
-                # STEPHENS_MIXED takes D+ at scheme0's positions t/n and
-                # D- at scheme1's (t-1)/n
-                d_plus = stat[0]
-                d_minus = vn_from_probs(q, EdfScheme.SCHEME1)[1]
-                stat = d_plus, d_minus, d_plus + d_minus
+                stat = _exact_from_scheme0(q, stat)
             elif cfg.scheme is not EdfScheme.STEPHENS_MIXED:
                 stat = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
             d_plus, d_minus, v_exact = stat

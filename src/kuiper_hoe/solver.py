@@ -252,18 +252,19 @@ def kuiper_utq(alpha: float, n: int, k: int) -> float:
     return kuiper_pair_solver(alpha, n, k).v
 
 
+def _utq_at_complement(level: float, name: str, n: int, k: int) -> float:
+    level = _check_real(level, name)
+    if not 0.0 <= level < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {level}")
+    return kuiper_utq(1.0 - level, n, k)
+
+
 def kuiper_ltq(alpha: float, n: int, k: int) -> float:
     """Lower tail quantile of V_n, alpha in [0, 1): the upper tail quantile at
     1 - alpha (same code path, exact duality), so 0.0 for alpha <= 0.0001."""
-    alpha = _check_real(alpha, "alpha")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return kuiper_utq(1.0 - alpha, n, k)
+    return _utq_at_complement(alpha, "alpha", n, k)
 
 
 def kuiper_inv_cdf(x: float, n: int, k: int) -> float:
     """Inverse CDF of V_n at probability x, via the upper tail at 1 - x."""
-    x = _check_real(x, "probability x")
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"probability x must be in [0, 1), got {x}")
-    return kuiper_utq(1.0 - x, n, k)
+    return _utq_at_complement(x, "probability x", n, k)

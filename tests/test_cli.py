@@ -535,6 +535,20 @@ class TestSimulateCommand:
         assert err == ("error: unknown comparator ''; expected subset of "
                        "('ks', 'stephens')\n")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "1,1", "k_set repeats 1: (1, 1)"),
+        ("--k", "5,1,5", "k_set repeats 5: (5, 1, 5)"),
+        ("--comparators", "ks,ks",
+         "comparators repeats 'ks': ('ks', 'ks')"),
+    ])
+    def test_repeated_item_exits_2(self, capsys, flag, value, message):
+        # a repeat once ran each method once and exited 0
+        args = {"--k": "1", "--comparators": "stephens", flag: value}
+        code, out, err = run_cli(capsys, "simulate", "--n", "10", "--nrep",
+                                 "20", *(x for kv in args.items() for x in kv))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_no_comparators_flag_runs_the_orders_alone(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--n", "10", "--k", "1",
                                "--nrep", "20", "--format", "csv")

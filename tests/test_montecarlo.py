@@ -18,6 +18,7 @@ from kuiper_hoe.montecarlo import (
     _KS_MARGIN,
     BLOCK_REPS,
     SimConfig,
+    _exact_from_scheme0,
     _ks_rejections,
     normal_cdf,
     simulate_type1,
@@ -153,6 +154,15 @@ class TestBlockLayout:
                         scheme=scheme, comparators=("ks", "stephens"))
         assert simulate_type1(cfg).rejections == _reference_rejections(cfg)
 
+    @pytest.mark.parametrize("n, k_set", [(1, (1,)), (180, (1, 3, 5))])
+    def test_scheme0_counts_match_plain_reference_loop_at_more_n(self, n,
+                                                                 k_set):
+        # at n = 1 every row's scheme0 D- floors at 0, so the comparators'
+        # whole block gets the kernel; n = 180 reduces row by row
+        cfg = SimConfig(n=n, k_set=k_set, n_rep=2500, seed=2024,
+                        comparators=("ks", "stephens"))
+        assert simulate_type1(cfg).rejections == _reference_rejections(cfg)
+
     @pytest.mark.parametrize("scheme", [EdfScheme.SCHEME0,
                                         EdfScheme.STEPHENS_MIXED])
     @pytest.mark.parametrize("alpha, comparators", [
@@ -246,10 +256,59 @@ class TestBlockLayout:
         SimConfig(n=10, alpha=MODIFIED_ALPHA_MAX, comparators=("stephens",))
         SimConfig(n=10, alpha=0.95, comparators=("ks",))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"k_set": (1, 1)}, "k_set repeats 1: (1, 1)"),
+        ({"k_set": [5, 5, 1]}, "k_set repeats 5: (5, 5, 1)"),
+        ({"k_set": (1, np.int64(1))},
+         f"k_set repeats {np.int64(1)!r}: (1, {np.int64(1)!r})"),
+        ({"comparators": ("stephens", "stephens")},
+         "comparators repeats 'stephens': ('stephens', 'stephens')"),
+        ({"comparators": ("ks", "stephens", "ks")},
+         "comparators repeats 'ks': ('ks', 'stephens', 'ks')"),
+    ], ids=["k_set-pair", "k_set-list", "k_set-int64", "comparators-pair",
+            "comparators-apart"])
+    def test_repeated_items_rejected(self, kwargs, message):
+        # these once ran each method once, quietly dropping the repeat
+        with pytest.raises(ValueError) as err:
+            SimConfig(**{"n": 10, "k_set": (1,), **kwargs})
+        assert str(err.value) == message
+
+    def test_result_n_rep_is_the_configured_count(self):
+        # perfbench's tracer reads n_rep for its montecarlo.reps metric
+        cfg = SimConfig(n=10, k_set=(1,), n_rep=1500, seed=3)
+        assert simulate_type1(cfg).n_rep == cfg.n_rep == 1500
+
     def test_numpy_integer_n_rep_accepted(self):
         cfg = SimConfig(n=10, k_set=(1,), n_rep=np.int64(300), seed=5)
         plain = SimConfig(n=10, k_set=(1,), n_rep=300, seed=5)
         assert simulate_type1(cfg).rejections == simulate_type1(plain).rejections
+
+
+class TestExactFromScheme0:
+    """Under scheme0 the comparators' D- is the block's D- plus 1/n, except
+    on the rows where that D- floored at 0."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 101, 180, 1000])
+    def test_matches_a_stephens_mixed_pass(self, n):
+        q = np.random.default_rng(n).random((BLOCK_REPS, n))
+        q.sort(axis=1)
+        scheme0 = vn_from_probs(q, EdfScheme.SCHEME0)
+        floored = scheme0[1] == 0.0
+        d_plus, d_minus, v_n = _exact_from_scheme0(q, scheme0)
+        want = vn_from_probs(q, EdfScheme.STEPHENS_MIXED)
+        assert np.array_equal(d_plus, want[0])
+        assert np.abs(d_minus - want[1]).max() <= 2.0 ** -51
+        assert np.array_equal(d_minus[floored], want[1][floored])
+        assert np.array_equal(v_n, d_plus + d_minus)
+        assert floored.all() if n == 1 else 0 < np.count_nonzero(floored) < len(q)
+
+    def test_block_without_a_floored_row(self):
+        # every q_1 >= 0.5 lies above 1/n, so no row's D- floors
+        q = 0.5 + 0.5 * np.sort(np.random.default_rng(7).random((3, 20)), axis=1)
+        d_plus, d_minus, v_n = vn_from_probs(q, EdfScheme.SCHEME0)
+        assert (d_minus > 0.0).all()
+        assert np.array_equal(_exact_from_scheme0(q, (d_plus, d_minus, v_n))[1],
+                              d_minus + 1.0 / 20)
 
 
 def _bracket(d: float, n: int) -> tuple:
