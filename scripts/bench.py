@@ -3,11 +3,13 @@
 
     python scripts/bench.py --parent REV --seeds 601,602,603 --out BENCH_4.json
 
-Runs REV's committed files (via git archive) and the checkout in rounds of
-fresh ``python`` processes with PYTHONPATH at each tree's ``src/``; the side
-that runs first swaps each round, so that drift in machine speed favours
-neither.  ``workloads``: per workload, a round per seed of ``perfbench/run.py
---trace 0`` for --seconds of op time (default: BENCHMARK.json run_seconds).
+Runs REV's committed MEASURED_PATHS (via git archive) and a copy of the
+checkout's, both in a temporary directory and free of bytecode caches, in
+rounds of fresh ``python`` processes with PYTHONPATH at each tree's
+``src/``; the side that runs first swaps each round, so that drift in
+machine speed favours neither.  ``workloads``: per workload, a round per
+seed of ``perfbench/run.py --trace 0`` for --seconds of op time (default:
+BENCHMARK.json run_seconds).
 ``layers``: a round per seed of LAYER_SCRIPT (series calls and an alpha-0.05
 pair solve on the cdf_curve keys, which the cache holds, and ``fresh_key_us``:
 an alpha-0.05 upper tail quantile and a full ``utp`` on a key never used
@@ -15,7 +17,9 @@ before, gof's series cost per op), and a calibrate block's layers:
 ``vn_block_{10,50,180}_us``, one scheme0 ``vn_from_probs`` call on a seeded
 sorted (1024, n) block, and ``sim_block_{10,50,180}_us``, one
 1024-replication scheme0 ``simulate_type1`` at that n with the ks and
-stephens comparators; and
+stephens comparators; ``sim_cycle_us``, one calibrate cycle of such
+2000-replication simulations at n = 10, 50 and 180 in turn, and
+``sim_cycle_minflt``, its minor page faults (``ru_minflt``); and
 ``table_{table,csv,json}_us``, one in-process ``cli.main(["table", "--alpha",
 "0.05", "--format", f])`` with stdout sent to a StringIO.
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
@@ -33,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,12 +49,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# What a perfbench run reads from the checkout.
+# What a perfbench run reads from the checkout; layers and cli read src.
 MEASURED_PATHS = ("src", "perfbench", "tests/table_data.py", "BENCHMARK.json")
 
 LAYER_REPEATS = 7
 LAYER_SCRIPT = """
-import contextlib, io, itertools, json, statistics, time
+import contextlib, io, itertools, json, resource, statistics, time
 import numpy as np
 from kuiper_hoe import cli
 from kuiper_hoe.gof import EdfScheme, vn_from_probs
@@ -91,6 +96,19 @@ for n in (10, 50, 180):
     sim = SimConfig(n=n, n_rep=1024, comparators=("ks", "stephens"))
     passes[f"sim_block_{n}_us"] = lambda cfg=sim: per_call(
         lambda: simulate_type1(cfg), 20)
+# calibrate's own cycle: 2000-replication simulations at n = 10, 50, 180 in
+# turn, a fresh seed each, and the minor page faults the cycles take
+seeds = itertools.count()
+cycle_faults = []
+def sim_cycle(cycles=10):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    elapsed = per_call(lambda: [simulate_type1(SimConfig(
+        n=n, n_rep=2000, seed=next(seeds), comparators=("ks", "stephens")))
+        for n in (10, 50, 180)], cycles)
+    cycle_faults.append(
+        (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cycles)
+    return elapsed
+passes["sim_cycle_us"] = sim_cycle
 # one in-process table command per format, its stdout sent to a StringIO
 def table_us(fmt):
     argv = ["table", "--alpha", "0.05", "--format", fmt]
@@ -98,8 +116,10 @@ def table_us(fmt):
         return per_call(lambda: cli.main(argv), 50)
 for fmt in ("table", "csv", "json"):
     passes[f"table_{fmt}_us"] = lambda fmt=fmt: table_us(fmt)
-print(json.dumps({name: statistics.median([run() for _ in range(
-    %d + 1)][1:]) * 1e6 for name, run in passes.items()}))
+timed = {name: statistics.median([run() for _ in range(%d + 1)][1:]) * 1e6
+         for name, run in passes.items()}
+print(json.dumps({**timed, "sim_cycle_minflt": statistics.median(
+    cycle_faults[1:])}))
 """ % LAYER_REPEATS
 
 CLI_REPEATS = 9
@@ -115,6 +135,19 @@ CLI_COMMANDS = {
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def copy_tree(source: Path, dest: Path) -> Path:
+    """DEST holding MEASURED_PATHS of the tree SOURCE, without bytecode
+    caches, so that both sides run from fresh copies of the same kind."""
+    for name in MEASURED_PATHS:
+        if (source / name).is_dir():
+            shutil.copytree(source / name, dest / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source / name, dest / name)
+    return dest
 
 
 def run_python(tree: Path, argv: list) -> str:
@@ -152,7 +185,8 @@ def compare(parent: dict, checkout: dict, direction: str) -> dict:
     ``verdict`` is "better" when at least 9 in 10 pairs are better and the
     median moved the better way by more than the parent's interquartile
     range, "worse" on the mirror condition (a tied pair counts for neither
-    side), and "unresolved" otherwise."""
+    side), and "unresolved" otherwise.  A ratio over a zero parent value is
+    None."""
     old, new = parent["runs"], checkout["runs"]
     sign = -1.0 if direction == "lower" else 1.0
     wins = sum(sign * (b - a) > 0.0 for a, b in zip(old, new))
@@ -164,8 +198,9 @@ def compare(parent: dict, checkout: dict, direction: str) -> dict:
         verdict = "better"
     elif 10 * losses >= 9 * len(old) and -gap > iqr:
         verdict = "worse"
-    return {"median_ratio": checkout["median"] / parent["median"],
-            "min_ratio": checkout["min"] / parent["min"],
+    def ratio(key):  # None over a zero parent value, such as 0 faults
+        return checkout[key] / parent[key] if parent[key] else None
+    return {"median_ratio": ratio("median"), "min_ratio": ratio("min"),
             "pairs_better": wins, "pairs": len(old),
             "median_gap_exceeds_parent_iqr": abs(gap) > iqr,
             "verdict": verdict}
@@ -223,8 +258,11 @@ def main(argv=None) -> int:
 
     results = {}
     with tempfile.TemporaryDirectory(prefix="kuiper-bench-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "checkout": ROOT}
-        git("archive", "--format=tar", "-o", f"{tmp}/parent.tar", args.parent)
+        # the same files under paths of the same length on both sides
+        trees = {"parent": Path(tmp) / "parent",
+                 "checkout": copy_tree(ROOT, Path(tmp) / "change")}
+        git("archive", "--format=tar", "-o", f"{tmp}/parent.tar", args.parent,
+            *MEASURED_PATHS)
         with tarfile.open(f"{tmp}/parent.tar") as archive:
             archive.extractall(trees["parent"])
         for workload in workloads:

@@ -179,13 +179,10 @@ def vn_from_probs(q, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED):
     that each max and min runs down m contiguous values per position
     instead of once per short row, whose fixed cost dominates there; the
     last subtraction overwrites the copy, so the block allocates no more
-    (m, n) arrays than row by row.  On a (1024, n) block under scheme0
-    (NumPy 2.4, a 2-core Xeon) that took 48 us instead of 135 at n = 10,
-    119 instead of 203 at n = 50 and 239 instead of 293 at n = 100, but
-    421 against 401 at n = 128, about even at n = 180, and 1,288 against
-    740 at n = 256.  Longer rows, 1-D input and more dimensions reduce
-    along the last axis.  Each difference is the same subtraction and max
-    and min are exact, so both layouts give the same bits.
+    (m, n) arrays than row by row; CHANGES.md gives the timings that set
+    the crossover.  Longer rows, 1-D input and more dimensions reduce along
+    the last axis.  Each difference is the same subtraction and max and min
+    are exact, so both layouts give the same bits.
 
     An empty row, a NaN or infinite value in q, or a row whose first value
     is below 0 or whose last is above 1 raises ValueError.  Only those ends

@@ -3,12 +3,15 @@
 Draws samples under the null, runs the order-k tests (and optional
 comparators) on the same data, and reports per-method rejection rates.
 
-Replications run in blocks of BLOCK_REPS.  Block b draws a
-(m, n) array of uniforms from the substream SeedSequence(seed,
-spawn_key=(b,)), with m = min(BLOCK_REPS, replications left), and sorts
-each row.  The sorted uniforms serve directly as the hypothesized CDF
-values F(X_(t)): a standard-normal sample mapped back through its own CDF
-is that uniform sample again, so the normal transform is skipped.  One
+Replications run in blocks of BLOCK_REPS.  Block b draws (m, n) uniforms
+from the substream SeedSequence(seed, spawn_key=(b,)), with m =
+min(BLOCK_REPS, replications left), and sorts each row.  It draws them with
+``random(out=)`` into a leading view of one buffer of 8 min(n_rep,
+BLOCK_REPS) n bytes (1.4 MiB at n = 180), the largest seen, kept between
+calls so that its pages are not faulted in anew; the draws, and so every
+count, are those of ``random((m, n))``.  The sorted uniforms serve as the
+hypothesized CDF values F(X_(t)): a standard-normal sample mapped back
+through its own CDF is that uniform sample again.  One
 ``vn_from_probs`` pass per block gives every replication's V_n under the
 configured scheme.  The comparators need the exact statistic
 (STEPHENS_MIXED: D+ at t/n, D- at (t-1)/n).  Under scheme0 that is the
@@ -53,6 +56,16 @@ KNOWN_COMPARATORS = ("ks", "stephens")
 BLOCK_REPS = 1024
 SUBSTREAMS = (f"SeedSequence(seed, spawn_key=(block,)), "
               f"{BLOCK_REPS} replications per block")
+_BUFFER = []  # the kept draw buffer; a call takes it out, so none shares it
+
+
+def _take_buffer(size: int) -> np.ndarray:
+    """The kept buffer, taken out, if it holds size floats; else a new one."""
+    try:
+        buffer = _BUFFER.pop()
+    except IndexError:
+        return np.empty(size)
+    return buffer if buffer.size >= size else np.empty(size)
 
 
 def normal_cdf(x):
@@ -60,12 +73,13 @@ def normal_cdf(x):
     ndtr on [-38, 9].
 
     An ndarray gives an array of the same shape, each element computed with
-    the scalar path's operations, so the two agree bit for bit."""
+    the scalar path's operations, so the two agree bit for bit.  Both read x
+    in double precision, as float(x) or a float64 array."""
     if isinstance(x, np.ndarray):
-        z = (-x / math.sqrt(2.0)).ravel().tolist()
+        z = (-x.astype(float, copy=False) / math.sqrt(2.0)).ravel().tolist()
         erfc = np.fromiter(map(math.erfc, z), float, x.size)
         return 0.5 * erfc.reshape(x.shape)
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -200,10 +214,12 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
         c_mk = modified_quantile(cfg.alpha)
         t_mult = modified_statistic(1.0, cfg.n)
 
+    buffer = _take_buffer(min(cfg.n_rep, BLOCK_REPS) * cfg.n)
     for block, start in enumerate(range(0, cfg.n_rep, BLOCK_REPS)):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(block,)))
-        q = rng.random((min(BLOCK_REPS, cfg.n_rep - start), cfg.n))
+        m = min(BLOCK_REPS, cfg.n_rep - start)
+        q = rng.random(out=buffer[:m * cfg.n].reshape(m, cfg.n))
         q.sort(axis=1)
         stat = vn_from_probs(q, cfg.scheme)
         for k, v_crit in crit.items():
@@ -221,5 +237,6 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
                 rejections["stephens"] += int(
                     np.count_nonzero(v_exact * t_mult > c_mk))
 
+    _BUFFER.append(max(buffer, _take_buffer(0), key=len))  # keep the larger
     return SimResult(config=cfg, rejections=rejections,
                      metadata=_method_metadata(cfg))

@@ -124,3 +124,29 @@ def test_run_python_raises_with_argv_and_exit_code(tmp_path):
     message = str(err.value)
     assert " ".join(argv) in message
     assert f"in {tmp_path} exited 3: boom" in message
+
+
+def test_compare_reports_no_ratio_over_a_zero_parent_value():
+    # a parent that takes no page faults: the ratios are None, not an error
+    parent = bench.summary([0.0, 0.0, 0.0])
+    change = bench.compare(parent, bench.summary([2.0, 0.0, 1.0]), "lower")
+    assert change["median_ratio"] is None and change["min_ratio"] is None
+    assert change["pairs_better"] == 0 and change["verdict"] == "unresolved"
+    assert bench.compare(parent, parent, "lower")["median_ratio"] is None
+
+
+def test_copy_tree_holds_the_measured_paths_without_bytecode(tmp_path):
+    source, dest = tmp_path / "source", tmp_path / "copy"
+    files = ["src/pkg/__init__.py", "src/pkg/__pycache__/mod.cpython-311.pyc",
+             "perfbench/run.py", "perfbench/__pycache__/run.cpython-311.pyc",
+             "tests/table_data.py", "tests/test_other.py", "BENCHMARK.json",
+             "README.md", "scripts/bench.py"]
+    for name in files:
+        (source / name).parent.mkdir(parents=True, exist_ok=True)
+        (source / name).write_text(name)
+    assert bench.copy_tree(source, dest) == dest
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*")
+                    if p.is_file())
+    assert copied == ["BENCHMARK.json", "perfbench/run.py",
+                      "src/pkg/__init__.py", "tests/table_data.py"]
+    assert all((dest / name).read_text() == name for name in copied)

@@ -1,6 +1,8 @@
 """Tests for the Type-I-error simulator."""
 
 import math
+import sys
+import threading
 from statistics import NormalDist
 
 import numpy as np
@@ -282,6 +284,53 @@ class TestBlockLayout:
         cfg = SimConfig(n=10, k_set=(1,), n_rep=np.int64(300), seed=5)
         plain = SimConfig(n=10, k_set=(1,), n_rep=300, seed=5)
         assert simulate_type1(cfg).rejections == simulate_type1(plain).rejections
+
+
+class TestKeptBuffer:
+    """Blocks are drawn into views of one buffer kept between calls."""
+
+    def test_counts_match_reference_as_the_buffer_grows_and_shrinks(
+            self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BUFFER", [])
+        want = {}
+        for scheme in (EdfScheme.SCHEME0, EdfScheme.SCHEME4,
+                       EdfScheme.STEPHENS_MIXED):
+            for n in (180, 12, 50, 180):
+                # 2500 and 1100: the short last block takes a leading view
+                for n_rep in (2500, 1100):
+                    cfg = SimConfig(n=n, k_set=(1, 5), n_rep=n_rep,
+                                    seed=n_rep + n, scheme=scheme,
+                                    comparators=("ks", "stephens"))
+                    if cfg not in want:
+                        want[cfg] = _reference_rejections(cfg)
+                    assert simulate_type1(cfg).rejections == want[cfg], cfg
+        # the largest block seen is kept, and only it
+        assert [b.size for b in montecarlo._BUFFER] == [BLOCK_REPS * 180]
+
+    def test_concurrent_calls_draw_into_their_own_buffers(self):
+        configs = [SimConfig(n=180, k_set=(1,), n_rep=10 * BLOCK_REPS,
+                             seed=seed, comparators=("ks", "stephens"))
+                   for seed in (1, 2)]
+        serial = [simulate_type1(cfg).rejections for cfg in configs]
+        switch = sys.getswitchinterval()
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait(timeout=60)
+            got[i] = simulate_type1(configs[i]).rejections
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        sys.setswitchinterval(1e-6)  # switch often, so the calls interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == serial
 
 
 class TestExactFromScheme0:

@@ -41,6 +41,7 @@ ENTRY_POINTS = [
     ("stephens_utp", 0.6, lambda x: stephens_utp(x, 10)),
     ("stephens_cdf_small_v", 0.25, lambda x: stephens_cdf_small_v(x, 10)),
     ("ks_utp_asymptotic", 0.3, lambda x: ks_utp_asymptotic(x, 10)),
+    ("normal_cdf", 0.3, normal_cdf),
 ]
 
 
@@ -63,6 +64,15 @@ def test_float32_argument_is_read_in_double_precision(x, call):
     assert [value.hex() for value in got] == [value.hex() for value in want]
     assert {type(value) for value in got} <= {float, Probability}
     assert [type(value) for value in got] == [type(value) for value in want]
+
+
+def test_float32_array_is_read_in_double_precision():
+    # each element gets the bits of its float, as the scalar path does
+    x = np.array([[0.3, -1.7], [2.2, -0.05]], dtype=np.float32)
+    got = normal_cdf(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert [v.hex() for v in got.ravel().tolist()] == [
+        normal_cdf(float(v)).hex() for v in x.ravel().tolist()]
 
 
 @pytest.mark.parametrize("c", [True, np.False_], ids=["True", "np.False_"])
