@@ -13,13 +13,12 @@ BENCHMARK.json run_seconds).
 ``layers``: a round per seed of LAYER_SCRIPT (series calls and an alpha-0.05
 pair solve on the cdf_curve keys, which the cache holds, and ``fresh_key_us``:
 an alpha-0.05 upper tail quantile and a full ``utp`` on a key never used
-before, gof's series cost per op), and a calibrate block's layers:
+before, gof's series cost per op), and calibrate's layers:
 ``vn_block_{10,50,180}_us``, one scheme0 ``vn_from_probs`` call on a seeded
-sorted (1024, n) block, and ``sim_block_{10,50,180}_us``, one
-1024-replication scheme0 ``simulate_type1`` at that n with the ks and
-stephens comparators; ``sim_cycle_us``, one calibrate cycle of such
-2000-replication simulations at n = 10, 50 and 180 in turn, and
-``sim_cycle_minflt``, its minor page faults (``ru_minflt``); and
+sorted (1024, n) block; ``sim_cycle_us``, one calibrate cycle of
+2000-replication scheme0 ``simulate_type1`` calls with the ks and stephens
+comparators at n = 10, 50 and 180 in turn, and ``sim_cycle_minflt``, its
+minor page faults (``ru_minflt``); and
 ``table_{table,csv,json}_us``, one in-process ``cli.main(["table", "--alpha",
 "0.05", "--format", f])`` with stdout sent to a StringIO.
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
@@ -87,15 +86,11 @@ passes = {name: lambda f=f: per_key_call(f) for name, f in {
     "utp_truncated_us": lambda c, n, k: utp(c, n, k, truncated=True),
     "pair_us": lambda c, n, k: kuiper_pair_solver(0.05, n, k),
     "fresh_key_us": fresh_key}.items()}
-# a calibrate block's layers at each of its n: the kernel on one seeded
-# sorted (1024, n) block, and a whole 1024-replication simulation
+# the kernel on one seeded sorted (1024, n) block at each of calibrate's n
 for n in (10, 50, 180):
     block = np.sort(np.random.default_rng(n).random((1024, n)), axis=1)
     passes[f"vn_block_{n}_us"] = lambda q=block: per_call(
         lambda: vn_from_probs(q, EdfScheme.SCHEME0), 200)
-    sim = SimConfig(n=n, n_rep=1024, comparators=("ks", "stephens"))
-    passes[f"sim_block_{n}_us"] = lambda cfg=sim: per_call(
-        lambda: simulate_type1(cfg), 20)
 # calibrate's own cycle: 2000-replication simulations at n = 10, 50, 180 in
 # turn, a fresh seed each, and the minor page faults the cycles take
 seeds = itertools.count()

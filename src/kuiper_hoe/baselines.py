@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .series import Probability, _check_capacity, _check_real
+from .series import Probability, _check_capacity, _check_level, _check_real
 from .solver import _iterate, _newton_step, get_init_value
 
 __all__ = [
@@ -126,9 +126,7 @@ def modified_quantile(alpha: float) -> float:
     critical value as n grows.  Levels above its peak 4 e^{-3/2} ~ 0.892521
     have no root and raise ValueError.
     """
-    alpha = _check_real(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = _check_level(alpha)
     _check_modified_level(alpha)
 
     def residual(c):

@@ -223,17 +223,15 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_test(args) -> int:
-    from .gof import EdfScheme, SampleSet, kuiper_test
+    from .gof import SampleSet, kuiper_test
 
     cdf = parse_dist_spec(args.dist)
-    values = read_sample_file(args.file, args.csv_column)
-    sample = SampleSet(values)
-    scheme = EdfScheme.from_string(args.scheme)
-    result = kuiper_test(sample, cdf, alpha=args.alpha, k=args.k, scheme=scheme)
+    sample = SampleSet(read_sample_file(args.file, args.csv_column))
+    result = kuiper_test(sample, cdf, alpha=args.alpha, k=args.k)
     row = {"n": sample.n, "d_plus": result.d_plus, "d_minus": result.d_minus,
            "v_n": result.v_n, "v_critical": result.v_critical,
            "p_value": float(result.p_value), "alpha": result.alpha,
-           "k": result.k, "scheme": scheme.value,
+           "k": result.k, "scheme": result.scheme.value,
            "decision": "reject" if result.reject else "accept"}
     _emit(args, [row])
     return EXIT_REJECT if result.reject else EXIT_OK
@@ -345,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="normal(mu,sigma), uniform(a,b), or table:PATH")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--scheme", default="stephens_mixed")
     p.add_argument("--csv-column", default=None,
                    help="read this CSV column (name or 0-based index)")
     add_common(p)

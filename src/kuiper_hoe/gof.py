@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import Probability, _check_capacity, _check_real, utp
+from .series import Probability, _check_capacity, _check_level, utp
 from .solver import kuiper_utq
 
 __all__ = [
@@ -40,7 +40,8 @@ class EdfScheme(enum.Enum):
 
     STEPHENS_MIXED pairs t/n for the upward deviation with (t-1)/n for the
     downward one, which reproduces the exact supremum statistic of the
-    empirical step function.
+    empirical step function.  kuiper_test uses it; the other schemes serve
+    the statistic (vn_from_probs, compute_vn, edf_probs) and the simulator.
     """
 
     SCHEME0 = "scheme0"
@@ -247,22 +248,18 @@ def compute_vn(sample: SampleSet, hypothesized_cdf,
 
 
 def kuiper_test(sample: SampleSet, hypothesized_cdf, alpha: float = 0.05,
-                k: int = 5, scheme: EdfScheme = EdfScheme.STEPHENS_MIXED) -> TestResult:
+                k: int = 5) -> TestResult:
     """Run the Kuiper goodness-of-fit test at level alpha and order k.
 
-    Rejects when V_n exceeds the solved critical quantile.  The reported
-    p-value uses the full coefficient series; for a degenerate V_n of zero
-    it is 1 by convention.
+    Rejects when the exact V_n (STEPHENS_MIXED), whose law the critical
+    quantile describes, exceeds it; the p-value uses the full coefficient
+    series.  V_n >= 1/n for every sample, since at t = n D+ >= 1 - q_n
+    and D- >= q_n - (n-1)/n, so the series is always taken at a positive c.
     """
-    alpha = _check_real(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    d_plus, d_minus, v_n = compute_vn(sample, hypothesized_cdf, scheme)
+    alpha = _check_level(alpha)
+    d_plus, d_minus, v_n = compute_vn(sample, hypothesized_cdf)
     v_critical = kuiper_utq(alpha, sample.n, k)
-    if v_n > 0.0:
-        p_value = utp(v_n * math.sqrt(sample.n), sample.n, k)
-    else:
-        p_value = Probability(1.0)
     return TestResult(d_plus=d_plus, d_minus=d_minus, v_n=v_n,
-                      v_critical=v_critical, p_value=p_value,
-                      reject=v_n > v_critical, alpha=alpha, k=k, scheme=scheme)
+                      v_critical=v_critical, reject=v_n > v_critical,
+                      p_value=utp(v_n * math.sqrt(sample.n), sample.n, k),
+                      alpha=alpha, k=k, scheme=EdfScheme.STEPHENS_MIXED)

@@ -7,11 +7,12 @@ Replications run in blocks of BLOCK_REPS.  Block b draws (m, n) uniforms
 from the substream SeedSequence(seed, spawn_key=(b,)), with m =
 min(BLOCK_REPS, replications left), and sorts each row.  It draws them with
 ``random(out=)`` into a leading view of one buffer of 8 min(n_rep,
-BLOCK_REPS) n bytes (1.4 MiB at n = 180), the largest seen, kept between
-calls so that its pages are not faulted in anew; the draws, and so every
-count, are those of ``random((m, n))``.  The sorted uniforms serve as the
-hypothesized CDF values F(X_(t)): a standard-normal sample mapped back
-through its own CDF is that uniform sample again.  One
+BLOCK_REPS) n bytes (1.4 MiB at n = 180), the largest seen, up to 8 MiB,
+kept between calls so that its pages are not faulted in anew (a larger
+block draws into an array of its own, freed on return); the draws, and so
+every count, are those of ``random((m, n))``.  The sorted uniforms serve
+as the hypothesized CDF values F(X_(t)): a standard-normal sample mapped
+back through its own CDF is that uniform sample again.  One
 ``vn_from_probs`` pass per block gives every replication's V_n under the
 configured scheme.  The comparators need the exact statistic
 (STEPHENS_MIXED: D+ at t/n, D- at (t-1)/n).  Under scheme0 that is the
@@ -39,7 +40,7 @@ from .baselines import (
     modified_statistic,
 )
 from .gof import EdfScheme, vn_from_probs
-from .series import _check_real, _is_integer, fun_a0
+from .series import _check_level, _is_integer, fun_a0
 from .solver import kuiper_utq
 
 __all__ = [
@@ -57,12 +58,13 @@ BLOCK_REPS = 1024
 SUBSTREAMS = (f"SeedSequence(seed, spawn_key=(block,)), "
               f"{BLOCK_REPS} replications per block")
 _BUFFER = []  # the kept draw buffer; a call takes it out, so none shares it
+_KEPT_FLOATS = BLOCK_REPS * BLOCK_REPS  # 8 MiB: every full block up to n = 1024
 
 
 def _take_buffer(size: int) -> np.ndarray:
     """The kept buffer, taken out, if it holds size floats; else a new one."""
     try:
-        buffer = _BUFFER.pop()
+        buffer = _BUFFER.pop() if size <= _KEPT_FLOATS else np.empty(size)
     except IndexError:
         return np.empty(size)
     return buffer if buffer.size >= size else np.empty(size)
@@ -109,9 +111,7 @@ class SimConfig:
             raise ValueError("k_set needs at least one order")
         for k in self.k_set:
             fun_a0(self.n, k)  # checks (n, k) through the expansion cache
-        object.__setattr__(self, "alpha", _check_real(self.alpha, "alpha"))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _check_level(self.alpha))
         if not _is_integer(self.n_rep) or self.n_rep < 1:
             raise ValueError(f"n_rep must be an integer >= 1, got {self.n_rep!r}")
         if not _is_integer(self.seed) or self.seed < 0:
@@ -237,6 +237,7 @@ def simulate_type1(cfg: SimConfig) -> SimResult:
                 rejections["stephens"] += int(
                     np.count_nonzero(v_exact * t_mult > c_mk))
 
-    _BUFFER.append(max(buffer, _take_buffer(0), key=len))  # keep the larger
+    if buffer.size <= _KEPT_FLOATS:
+        _BUFFER.append(max(buffer, _take_buffer(0), key=len))  # keep the larger
     return SimResult(config=cfg, rejections=rejections,
                      metadata=_method_metadata(cfg))

@@ -168,6 +168,14 @@ def _check_real(level, name: str) -> float:
     return float(level)
 
 
+def _check_level(level, name: str = "alpha") -> float:
+    """``level`` by _check_real, in (0, 1); a float takes one type test."""
+    level = level if type(level) is float else _check_real(level, name)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {level}")
+    return level
+
+
 def _statistic(x, name: str = "c") -> float:
     """The statistic argument x as a float, checked positive and finite.
     The callers test a float in (0, inf) first and skip this call."""

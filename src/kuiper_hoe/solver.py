@@ -13,7 +13,7 @@ import collections
 import functools
 import math
 
-from .series import _check_real, _expansion, _statistic
+from .series import _check_level, _check_real, _expansion, _statistic
 
 __all__ = [
     "KuiperPair",
@@ -225,9 +225,7 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
     """
     if method not in ("direct", "newton"):
         raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
-    alpha = _check_real(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = _check_level(alpha)
     f = _residual(alpha, n, k)
     step = (functools.partial(f, contraction=True) if method == "direct"
             else functools.partial(_newton_step, f))

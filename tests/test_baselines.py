@@ -199,8 +199,9 @@ class TestModifiedQuantile:
         assert modified_quantile(alpha).hex() == c_hex
 
     def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             modified_quantile(0.0)
+        assert str(err.value) == "alpha must be in (0, 1), got 0.0"
 
     @pytest.mark.parametrize("alpha,c_ref", [(0.43, 1.27224), (0.89, 0.88801)])
     def test_levels_above_the_old_bracket(self, alpha, c_ref):

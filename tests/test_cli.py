@@ -493,6 +493,13 @@ class TestTestCommand:
                                "--dist", "cauchy(0,1)")
         assert code == 2
 
+    def test_scheme_flag_rejected(self, capsys, decile_file):
+        # the test takes the exact statistic, whose law its quantiles describe
+        code, out, err = run_cli(capsys, "test", "--file", decile_file,
+                                 "--dist", "normal(0,1)", "--scheme", "scheme0")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --scheme scheme0\n")
+
 
 class TestSimulateCommand:
     def test_repeat_invocations_identical(self, capsys):

@@ -1,7 +1,6 @@
 """Tests for EDF schemes, the statistic computation, and the test runner."""
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from kuiper_hoe.gof import (
     vn_from_probs,
 )
 from kuiper_hoe.montecarlo import normal_cdf
+from kuiper_hoe.series import utp
 from conftest import empirical_tail, inline_vn, scheme_positions
 
 identity = lambda x: min(1.0, max(0.0, x))
@@ -146,9 +146,8 @@ class TestSchemeChecked:
     @pytest.mark.parametrize("call", [
         lambda scheme: vn_from_probs([0.2, 0.6], scheme),
         lambda scheme: compute_vn(SampleSet((0.2, 0.6)), identity, scheme),
-        lambda scheme: edf_probs(4, scheme),
-        lambda scheme: kuiper_test(SampleSet((0.2, 0.6)), identity, scheme=scheme)],
-        ids=["vn_from_probs", "compute_vn", "edf_probs", "kuiper_test"])
+        lambda scheme: edf_probs(4, scheme)],
+        ids=["vn_from_probs", "compute_vn", "edf_probs"])
     def test_message_names_the_scheme(self, call, scheme, shown):
         with pytest.raises(ValueError) as err:
             call(scheme)
@@ -478,28 +477,36 @@ class TestKuiperTest:
         assert float(result.p_value) < 0.01
 
     def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             kuiper_test(SampleSet((0.5,)), identity, alpha=1.2)
+        assert str(err.value) == "alpha must be in (0, 1), got 1.2"
 
-    def test_zero_statistic_has_p_value_1(self):
-        # under scheme0 the points t/8 sit exactly on their positions
-        result = kuiper_test(SampleSet(range(1, 9)), lambda x: x / 8,
-                             scheme=EdfScheme.SCHEME0)
-        assert (result.d_plus, result.d_minus, result.v_n) == (0.0, 0.0, 0.0)
-        assert result.p_value == 1.0 and result.p_value.raw == 1.0
-        assert not result.p_value.clamped and result.p_value.warning is None
+    def test_scheme_keyword_rejected(self):
+        # the quantiles describe the exact statistic's law, and no other's
+        with pytest.raises(TypeError, match="scheme"):
+            kuiper_test(SampleSet((0.2, 0.6)), identity,
+                        scheme=EdfScheme.SCHEME0)
+
+    def test_sample_on_its_upper_positions_has_v_n_one_over_n(self):
+        # q_t = t/8: D+ is 0, and D- = max(q_t - (t-1)/8) = 1/8 = V_n
+        result = kuiper_test(SampleSet(range(1, 9)), lambda x: x / 8)
+        assert (result.d_plus, result.d_minus, result.v_n) == (0.0, 0.125, 0.125)
+        assert result.scheme is EdfScheme.STEPHENS_MIXED
+        want = utp(0.125 * math.sqrt(8), 8, 5)
+        got = result.p_value
+        assert (float(got), got.raw, got.warning) == (
+            float(want), want.raw, want.warning)
+        assert got.warning is not None  # c ~ 0.354 is below the trust floor
         assert not result.reject
 
-    def test_p_value_super_uniform_under_null(self, vn_mc):
-        # with the t/n scheme the statistic is stochastically smaller than
-        # the exact one, so rejection by p <= alpha stays below alpha
-        n, alpha, reps = 20, 0.05, 2000
-        rng = np.random.default_rng(11)
-        rejected = 0
-        for _ in range(reps):
-            sample = SampleSet(tuple(map(NormalDist().inv_cdf, rng.random(n))))
-            r = kuiper_test(sample, normal_cdf, alpha=alpha, k=5,
-                            scheme=EdfScheme.SCHEME0)
-            rejected += float(r.p_value) <= alpha
-        limit = alpha + 3.0 * math.sqrt(alpha * (1 - alpha) / reps)
-        assert rejected / reps <= limit
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    @pytest.mark.parametrize("cdf", [np.zeros_like, np.ones_like],
+                             ids=["all-0", "all-1"])
+    def test_extreme_cdf_gives_v_n_one(self, cdf, n):
+        # order 5 cannot reach alpha 0.05 at n = 1, so the order is 1
+        result = kuiper_test(SampleSet(range(n)), cdf, k=1)
+        assert result.v_n == 1.0
+        want = utp(math.sqrt(n), n, 1)
+        got = result.p_value
+        assert (float(got), got.raw, got.warning) == (
+            float(want), want.raw, want.warning)

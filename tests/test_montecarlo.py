@@ -307,6 +307,19 @@ class TestKeptBuffer:
         # the largest block seen is kept, and only it
         assert [b.size for b in montecarlo._BUFFER] == [BLOCK_REPS * 180]
 
+    def test_block_above_the_cap_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BUFFER", [])
+        small = SimConfig(n=180, k_set=(1,), n_rep=1100, seed=3,
+                          comparators=("ks", "stephens"))
+        large = SimConfig(n=1100, k_set=(1, 5), n_rep=BLOCK_REPS, seed=4,
+                          comparators=("ks", "stephens"))
+        assert BLOCK_REPS * large.n > montecarlo._KEPT_FLOATS
+        simulate_type1(small)
+        assert simulate_type1(large).rejections == _reference_rejections(large)
+        # the large block's array is freed; the kept one is the n = 180 one
+        assert [b.size for b in montecarlo._BUFFER] == [BLOCK_REPS * 180]
+        assert simulate_type1(small).rejections == _reference_rejections(small)
+
     def test_concurrent_calls_draw_into_their_own_buffers(self):
         configs = [SimConfig(n=180, k_set=(1,), n_rep=10 * BLOCK_REPS,
                              seed=seed, comparators=("ks", "stephens"))

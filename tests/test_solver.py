@@ -308,10 +308,10 @@ class TestPairSolver:
         assert c == pytest.approx(1.6630, abs=1e-4)
 
     def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            kuiper_pair_solver(1.5, 10, 1)
-        with pytest.raises(ValueError):
-            kuiper_pair_solver(0.0, 10, 1)
+        for alpha in (1.5, 0.0, math.nan):
+            with pytest.raises(ValueError) as err:
+                kuiper_pair_solver(alpha, 10, 1)
+            assert str(err.value) == f"alpha must be in (0, 1), got {alpha}"
 
     def test_unreachable_alpha_propagates(self):
         with pytest.raises(FixedPointDomainError):
