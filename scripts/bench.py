@@ -20,7 +20,9 @@ sorted (1024, n) block; ``sim_cycle_us``, one calibrate cycle of
 comparators at n = 10, 50 and 180 in turn, and ``sim_cycle_minflt``, its
 minor page faults (``ru_minflt``); and
 ``table_{table,csv,json}_us``, one in-process ``cli.main(["table", "--alpha",
-"0.05", "--format", f])`` with stdout sent to a StringIO.
+"0.05", "--format", f])`` with stdout sent to a StringIO; and
+``table_grid_us``, the 55 Newton solves of the default table grid at a new
+level per grid, drawn log-uniform in (0.001, 0.4) as ``tables`` draws it.
 ``cli``: CLI_REPEATS rounds of each CLI_COMMANDS process's wall time in ms,
 import included.  Per side (``parent``, ``checkout``) a section holds every
 metric's runs, median, quartiles and minimum (for a time, the run least
@@ -53,13 +55,14 @@ MEASURED_PATHS = ("src", "perfbench", "tests/table_data.py", "BENCHMARK.json")
 
 LAYER_REPEATS = 7
 LAYER_SCRIPT = """
-import contextlib, io, itertools, json, resource, statistics, time
+import contextlib, io, itertools, json, math, resource, statistics, time
 import numpy as np
 from kuiper_hoe import cli
 from kuiper_hoe.gof import EdfScheme, vn_from_probs
 from kuiper_hoe.montecarlo import SimConfig, simulate_type1
 from kuiper_hoe.series import cdf_kn, utp
-from kuiper_hoe.solver import kuiper_pair_solver, kuiper_utq
+from kuiper_hoe.solver import (ConvergenceError, FixedPointDomainError,
+                               kuiper_pair_solver, kuiper_utq)
 grid = np.linspace(0.3, 3.5, 200).tolist()
 keys = [(n, k) for n in (6, 10, 50, 1000) for k in range(1, 6)]
 fresh = itertools.count(10_000)
@@ -111,6 +114,20 @@ def table_us(fmt):
         return per_call(lambda: cli.main(argv), 50)
 for fmt in ("table", "csv", "json"):
     passes[f"table_{fmt}_us"] = lambda fmt=fmt: table_us(fmt)
+# the 55 Newton solves of a default table, each grid at a new level drawn
+# log-uniform in (0.001, 0.4) as the tables workload draws it, so that the
+# unreachable cells a table prints as x are timed too
+table_grid = [(int(n), k) for n in cli.DEFAULT_TABLE_N.split(",")
+              for k in range(1, 6)]
+levels = np.random.default_rng(0)
+def table_grid_solves():
+    alpha = float(math.exp(levels.uniform(math.log(0.001), math.log(0.4))))
+    for n, k in table_grid:
+        try:
+            kuiper_pair_solver(alpha, n, k)
+        except (FixedPointDomainError, ConvergenceError):
+            pass  # a cell the table prints as x
+passes["table_grid_us"] = lambda: per_call(table_grid_solves, 50)
 timed = {name: statistics.median([run() for _ in range(%d + 1)][1:]) * 1e6
          for name, run in passes.items()}
 print(json.dumps({**timed, "sim_cycle_minflt": statistics.median(

@@ -247,6 +247,10 @@ def _table_cell(args, n: int, k: int) -> tuple:
 def cmd_table(args) -> int:
     n_list = _parse_int_list(args.n, "--n")
     k_list = _parse_int_list(args.k, "--k")
+    for flag, items, text in (("--n", n_list, args.n), ("--k", k_list, args.k)):
+        for i, item in enumerate(items):
+            if item in items[:i]:  # a repeated row or column
+                raise ValueError(f"{flag} repeats {item}: {text!r}")
     grid = [[_table_cell(args, n, k) for k in k_list] for n in n_list]
     cells = ({"n": n, "k": k, "c": c, "v": v} for n, row in zip(n_list, grid)
              for k, (c, v) in zip(k_list, row))

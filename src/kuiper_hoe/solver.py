@@ -100,9 +100,52 @@ def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:
     return gap
 
 
+def _domain_error(c: float, tail: float):
+    """Raise, for c outside (0, inf) or tail = A1 + A2 exp(-6c^2) <= 0, the
+    error of c <= 0, else of a NaN or inf c, else of the tail."""
+    if c <= 0.0:
+        raise FixedPointDomainError(
+            f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
+    _statistic(c)  # raises: a NaN iterate must not come back solved
+    raise FixedPointDomainError(
+        f"A1 + A2*exp(-6c^2) = {tail:.4g} <= 0 at c={c:.6g}: iterate left "
+        f"the contraction basin", argument="tail_coefficient")
+
+
+def _log_tails(pairs: tuple, shift: float, c: float) -> tuple[float, float]:
+    """log(A1 + A2 exp(-6x^2)) at x = c and c + H by f_nlm's arithmetic, in
+    one Horner pass; the checks at c run first, so an edge crossed only at
+    c + H is reported there."""
+    d = c + H
+    h1 = h2 = g1 = g2 = 0.0
+    for p1, p2 in pairs:
+        h1 = h1 * c + p1
+        h2 = h2 * c + p2
+        g1 = g1 * d + p1
+        g2 = g2 * d + p2
+    tail = -h1 + (shift - h2) * math.exp(-6.0 * c * c)
+    if not 0.0 < c < math.inf or tail <= 0.0:
+        _domain_error(c, tail)
+    tail_h = -g1 + (shift - g2) * math.exp(-6.0 * d * d)
+    if tail_h <= 0.0:  # d = c + H lies in (0, inf) with c
+        _domain_error(d, tail_h)
+    return math.log(tail), math.log(tail_h)
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _first_log_tails(n: int, k: int) -> tuple[float, float]:
+    """_log_tails at C_GUESS, where each Newton solve starts: free of alpha,
+    so f, the slope and the step are still formed per solve.  As for
+    _expansion, a key that raises is not cached and keys are typed."""
+    _, _, _, pairs, shift = _expansion(n, k)
+    return _log_tails(pairs, shift, C_GUESS)
+
+
 def _residual(alpha: float, n: int, k: int):
-    """f_nlm at (alpha, n, k) as a function of c (f_ctm with contraction=True),
-    checks and messages kept; f_nlm and f_ctm are thin wrappers over it.
+    """(f_nlm, newton_step) at (alpha, n, k): f_nlm as a function of c (f_ctm
+    with contraction=True), checks and messages kept, f_nlm and f_ctm being
+    thin wrappers over it; newton_step(c) is _newton_step(f_nlm, c) bit for
+    bit, errors included, from one _log_tails pass or _first_log_tails.
 
     The cached tail record, the alpha-gap check and log(gap) are taken once
     per solve; each call then does only the work that depends on c: one
@@ -116,16 +159,9 @@ def _residual(alpha: float, n: int, k: int):
         for p1, p2 in pairs:
             h1 = h1 * c + p1
             h2 = h2 * c + p2
-        if not 0.0 < c < math.inf:
-            if c <= 0.0:
-                raise FixedPointDomainError(
-                    f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
-            _statistic(c)  # raises: a NaN iterate must not come back solved
         tail = -h1 + (shift - h2) * math.exp(-6.0 * c * c)  # A1 + A2 exp(-6c^2)
-        if tail <= 0.0:
-            raise FixedPointDomainError(
-                f"A1 + A2*exp(-6c^2) = {tail:.4g} <= 0 at c={c:.6g}: iterate left "
-                f"the contraction basin", argument="tail_coefficient")
+        if not 0.0 < c < math.inf or tail <= 0.0:
+            _domain_error(c, tail)
         if contraction:
             radicand = (math.log(tail) - log_gap) / 2.0
             if radicand < 0.0:
@@ -134,19 +170,35 @@ def _residual(alpha: float, n: int, k: int):
             return math.sqrt(radicand)
         return 2.0 * c * c + log_gap - math.log(tail)
 
-    return f_nlm
+    def newton_step(c):
+        log_tail, log_tail_h = (_first_log_tails(n, k) if c == C_GUESS
+                                else _log_tails(pairs, shift, c))
+        d = c + H
+        return _newton_update(c, 2.0 * c * c + log_gap - log_tail,
+                              2.0 * d * d + log_gap - log_tail_h)
+
+    return f_nlm, newton_step
 
 
 def f_nlm(c: float, alpha: float, n: int, k: int) -> float:
     """Log-form tail residual; zero exactly at the order-k quantile."""
-    return _residual(_check_real(alpha, "alpha"), n, k)(
+    return _residual(_check_real(alpha, "alpha"), n, k)[0](
         _check_real(c, "statistic argument c"))
 
 
 def f_ctm(c: float, alpha: float, n: int, k: int) -> float:
     """Contraction map whose fixed point is the order-k quantile."""
-    return _residual(_check_real(alpha, "alpha"), n, k)(
+    return _residual(_check_real(alpha, "alpha"), n, k)[0](
         _check_real(c, "statistic argument c"), contraction=True)
+
+
+def _newton_update(c: float, f0: float, f1: float) -> float:
+    """c - f0 / slope from f0 = f(c), f1 = f(c + H), slope (f1 - f0) / H."""
+    slope = (f1 - f0) / H
+    if abs(slope) < 1e-14:
+        raise DegenerateDerivativeError(
+            f"forward-difference slope {slope:.4g} at c={c:.6g} is too small")
+    return c - f0 / slope
 
 
 def _newton_step(f, c: float) -> float:
@@ -156,11 +208,7 @@ def _newton_step(f, c: float) -> float:
     parameters binds them in a closure, as baselines.modified_quantile
     binds alpha."""
     f0 = f(c)
-    slope = (f(c + H) - f0) / H
-    if abs(slope) < 1e-14:
-        raise DegenerateDerivativeError(
-            f"forward-difference slope {slope:.4g} at c={c:.6g} is too small")
-    return c - f0 / slope
+    return _newton_update(c, f0, f(c + H))
 
 
 def _iterate(step, x0: float, epsilon: float) -> tuple[float, int]:
@@ -226,9 +274,9 @@ def kuiper_pair_solver(alpha: float, n: int, k: int,
     if method not in ("direct", "newton"):
         raise ValueError(f"method must be 'direct' or 'newton', got {method!r}")
     alpha = _check_level(alpha)
-    f = _residual(alpha, n, k)
+    f, newton_step = _residual(alpha, n, k)
     step = (functools.partial(f, contraction=True) if method == "direct"
-            else functools.partial(_newton_step, f))
+            else newton_step)
     try:
         c, iterations = _iterate(step, C_GUESS, EPSILON)
     except FixedPointDomainError as exc:

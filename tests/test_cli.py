@@ -215,6 +215,15 @@ class TestTable:
         assert err == (f"error: {flag} must be a comma list of integers, "
                        f"got {text!r}\n")
 
+    @pytest.mark.parametrize("flag, text, item", [
+        ("--k", "1,1", 1), ("--n", "10,10", 10), ("--n", "6,10,6", 6),
+        ("--k", "1, 2,1", 1), ("--n", "10,010", 10)])
+    def test_repeated_item_names_the_flag(self, capsys, flag, text, item):
+        # once exited 0 and printed the repeated column or row twice
+        code, out, err = run_cli(capsys, "table", "--alpha", "0.05", flag, text)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} repeats {item}: {text!r}\n"
+
     def test_csv_grid_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--alpha", "0.10",
                                "--n", "6,10", "--k", "1,5", "--format", "csv")

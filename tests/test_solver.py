@@ -1,6 +1,7 @@
 """Tests for the solver loop and the Kuiper pair solvers."""
 
 import collections
+import itertools
 import math
 import warnings
 
@@ -379,6 +380,128 @@ def _outcome(solve):
             got = (type(exc), str(exc), getattr(exc, "argument", None),
                    getattr(exc, "steps", None))
     return got, [(w.category, str(w.message)) for w in caught]
+
+
+def _step_outcome(step, c):
+    """One Newton update's value as hex, or its error's type, message,
+    ``argument`` and ``steps``."""
+    try:
+        return ("ok", step(c).hex())
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "argument", None),
+                getattr(exc, "steps", None))
+
+
+def _tail_edge(alpha, n, k, lo, hi):
+    """A c whose f_nlm evaluates while f_nlm at c + H leaves the domain:
+    bisection on [lo, hi] for the first c where the tail turns <= 0."""
+    f = _nlm(alpha, n, k)
+    while hi - lo > solver.H / 4:
+        mid = (lo + hi) / 2
+        try:
+            f(mid)
+            lo = mid
+        except FixedPointDomainError:
+            hi = mid
+    return lo
+
+
+class TestFusedNewtonStep:
+    """The solver's Newton update, f at c and c + H from one pass (and from
+    the per-(n, k) cache at C_GUESS), against _newton_step(f_nlm, c)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        solver._first_log_tails.cache_clear()
+
+    @staticmethod
+    def both(alpha, n, k):
+        fused = solver._residual(alpha, n, k)[1]
+        return fused, lambda c: _newton_step(_nlm(alpha, n, k), c)
+
+    def test_matches_newton_step_on_a_grid(self):
+        points = np.linspace(0.05, 3.5, 70).tolist() + [solver.C_GUESS]
+        kinds = collections.Counter()
+        for alpha, n, k in itertools.product((0.01, 0.3), (1, 2, 6, 10, 1000),
+                                             range(1, 6)):
+            if alpha - 1.0 - fun_a0(n, k) <= 0.0:
+                continue  # no residual at an unreachable level
+            fused, reference = self.both(alpha, n, k)
+            for c in points:
+                got = _step_outcome(fused, c)
+                assert got == _step_outcome(reference, c), (alpha, n, k, c)
+                kinds[got[0] if got[0] == "ok" else got[2]] += 1
+        assert {"ok", "tail_coefficient"} <= set(kinds)
+
+    def test_c_guess_from_the_cache_and_past_it(self):
+        fused, reference = self.both(0.05, 10, 5)
+        want = _step_outcome(reference, solver.C_GUESS)
+        assert want[0] == "ok"
+        assert _step_outcome(fused, solver.C_GUESS) == want  # cache missed
+        assert solver._first_log_tails.cache_info()[:2] == (0, 1)
+        assert _step_outcome(fused, solver.C_GUESS) == want  # cache hit
+        assert solver._first_log_tails.cache_info()[:2] == (1, 1)
+        # a new level reads the same entry and still forms its own step
+        fused, reference = self.both(0.01, 10, 5)
+        assert _step_outcome(fused, solver.C_GUESS) == _step_outcome(
+            reference, solver.C_GUESS)
+        assert solver._first_log_tails.cache_info()[:2] == (2, 1)
+
+    def test_edge_crossed_at_c_plus_h_is_reported_there(self):
+        c = _tail_edge(0.05, 6, 1, 2.0, 3.5)
+        f = _nlm(0.05, 6, 1)
+        f(c)
+        with pytest.raises(FixedPointDomainError):
+            f(c + solver.H)
+        fused, reference = self.both(0.05, 6, 1)
+        got = _step_outcome(fused, c)
+        assert got == _step_outcome(reference, c)
+        assert f"{c:.6g}" != f"{c + solver.H:.6g}"
+        assert got[0] is FixedPointDomainError and got[2] == "tail_coefficient"
+        assert got[1].endswith(f"at c={c + solver.H:.6g}: iterate left the "
+                               f"contraction basin")
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, -1.0, -math.inf, math.nan,
+                                   math.inf])
+    def test_iterate_outside_the_domain(self, c):
+        fused, reference = self.both(0.05, 10, 1)
+        got = _step_outcome(fused, c)
+        assert got == _step_outcome(reference, c)
+        assert got[0] is (FixedPointDomainError if c <= 0.0 else ValueError)
+
+    def test_steps_of_a_failed_iteration(self):
+        # the first try leaves the basin; both count its updates alike
+        fused, reference = self.both(0.9998, 50, 1)
+        outcomes = [_step_outcome(lambda c0: _iterate(step, c0, solver.EPSILON)[0],
+                                  solver.C_GUESS) for step in (fused, reference)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == "c" and outcomes[0][3] >= 1
+
+    def test_key_that_raises_at_c_guess_is_not_cached(self):
+        # order 1 at n = 3 has A1 + A2 exp(-6c^2) < 0 at C_GUESS
+        fused, reference = self.both(0.05, 3, 1)
+        want = _step_outcome(reference, solver.C_GUESS)
+        assert want[2] == "tail_coefficient"
+        for _ in range(2):
+            assert _step_outcome(fused, solver.C_GUESS) == want
+        info = solver._first_log_tails.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_keys_are_typed(self):
+        for key in ((1, 2), (10, 2), (10, 1)):
+            solver._first_log_tails(*key)
+        for key in ((True, 2), (10.0, 2), (np.float64(10.0), 2), (10, True)):
+            with pytest.raises(ValueError):
+                solver._first_log_tails(*key)
+        info = solver._first_log_tails.cache_info()
+        assert (info.hits, info.currsize) == (0, 3)
+
+    def test_cache_holds_at_most_128_keys(self):
+        for n in range(4, 44):
+            for k in range(1, 6):
+                solver._first_log_tails(n, k)
+        info = solver._first_log_tails.cache_info()
+        assert (info.maxsize, info.currsize) == (128, 128)
 
 
 class TestResidualBuiltOnce:
