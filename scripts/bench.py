@@ -18,7 +18,7 @@ before, gof's series cost per op), and calibrate's layers:
 sorted (1024, n) block; ``sim_cycle_us``, one calibrate cycle of
 2000-replication scheme0 ``simulate_type1`` calls with the ks and stephens
 comparators at n = 10, 50 and 180 in turn, and ``sim_cycle_minflt``, its
-minor page faults (``ru_minflt``); and
+minor page faults (``ru_minflt``);
 ``table_{table,csv,json}_us``, one in-process ``cli.main(["table", "--alpha",
 "0.05", "--format", f])`` with stdout sent to a StringIO; and
 ``table_grid_us``, the 55 Newton solves of the default table grid at a new
