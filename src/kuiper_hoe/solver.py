@@ -13,7 +13,8 @@ import collections
 import functools
 import math
 
-from .series import _check_level, _check_real, _expansion, _statistic
+from .series import (_CACHE_SIZE, _check_level, _check_real, _expansion,
+                     _statistic)
 
 __all__ = [
     "KuiperPair",
@@ -101,8 +102,7 @@ def _alpha_gap(alpha: float, a0: float, n: int, k: int) -> float:
 
 
 def _domain_error(c: float, tail: float):
-    """Raise, for c outside (0, inf) or tail = A1 + A2 exp(-6c^2) <= 0, the
-    error of c <= 0, else of a NaN or inf c, else of the tail."""
+    """Raise f_nlm's error for c <= 0, else a NaN or inf c, else tail <= 0."""
     if c <= 0.0:
         raise FixedPointDomainError(
             f"iterate c={c:.6g} <= 0 left the contraction basin", argument="c")
@@ -132,20 +132,17 @@ def _log_tails(pairs: tuple, shift: float, c: float) -> tuple[float, float]:
     return math.log(tail), math.log(tail_h)
 
 
-@functools.lru_cache(maxsize=128, typed=True)
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _first_log_tails(n: int, k: int) -> tuple[float, float]:
-    """_log_tails at C_GUESS, where each Newton solve starts: free of alpha,
-    so f, the slope and the step are still formed per solve.  As for
-    _expansion, a key that raises is not cached and keys are typed."""
-    _, _, _, pairs, shift = _expansion(n, k)
-    return _log_tails(pairs, shift, C_GUESS)
+    """_log_tails at C_GUESS, where every Newton solve starts, free of alpha;
+    typed keys, _expansion's size, and no entry for a key that raises."""
+    return _log_tails(*_expansion(n, k)[3:], C_GUESS)
 
 
 def _residual(alpha: float, n: int, k: int):
     """(f_nlm, newton_step) at (alpha, n, k): f_nlm as a function of c (f_ctm
-    with contraction=True), checks and messages kept, f_nlm and f_ctm being
-    thin wrappers over it; newton_step(c) is _newton_step(f_nlm, c) bit for
-    bit, errors included, from one _log_tails pass or _first_log_tails.
+    with contraction=True), which f_nlm and f_ctm wrap; newton_step(c) is
+    _newton_step(f_nlm, c) bit for bit, errors included, in one Horner pass.
 
     The cached tail record, the alpha-gap check and log(gap) are taken once
     per solve; each call then does only the work that depends on c: one
@@ -154,7 +151,7 @@ def _residual(alpha: float, n: int, k: int):
     log_gap = math.log(_alpha_gap(alpha, -const, n, k))
 
     def f_nlm(c, contraction=False):
-        # series._tail_coefficients inlined: 449 calls per `table --alpha 0.05`
+        # series._tail_coefficients inlined, as in _log_tails
         h1 = h2 = 0.0
         for p1, p2 in pairs:
             h1 = h1 * c + p1
@@ -207,8 +204,7 @@ def _newton_step(f, c: float) -> float:
     f is a function of c alone, as for get_init_value; a caller with other
     parameters binds them in a closure, as baselines.modified_quantile
     binds alpha."""
-    f0 = f(c)
-    return _newton_update(c, f0, f(c + H))
+    return _newton_update(c, f(c), f(c + H))
 
 
 def _iterate(step, x0: float, epsilon: float) -> tuple[float, int]:

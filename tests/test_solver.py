@@ -23,7 +23,7 @@ from kuiper_hoe.solver import (
     kuiper_pair_solver,
     kuiper_utq,
 )
-from kuiper_hoe import solver
+from kuiper_hoe import series, solver
 from kuiper_hoe.baselines import modified_quantile
 from kuiper_hoe.gof import SampleSet, kuiper_test
 from kuiper_hoe.montecarlo import SimConfig, normal_cdf
@@ -502,6 +502,7 @@ class TestFusedNewtonStep:
                 solver._first_log_tails(n, k)
         info = solver._first_log_tails.cache_info()
         assert (info.maxsize, info.currsize) == (128, 128)
+        assert info.maxsize == series._CACHE_SIZE  # one sizing decision
 
 
 class TestResidualBuiltOnce:
